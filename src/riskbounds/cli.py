@@ -574,12 +574,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", help="path to the JSON parameter document")
         p.add_argument("--out", help="write the result here instead of stdout")
         p.add_argument("--seed", type=int, help="override the document's seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="reserved; accepted for forward compatibility, currently ignored",
-        )
         p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 

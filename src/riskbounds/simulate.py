@@ -20,15 +20,18 @@ from . import bounds_vc as bv
 from .covering import EntropyEstimate
 from .hypothesis import (
     Finite,
+    FunctionTable,
     GridSpec,
     NeuralNet,
     SequentialSample,
     TruncatedLinear,
+    class_from_json,
     evaluate_class,
     truncate,
     vc_dimension_bound,
 )
-from .mixing import markov_beta_of_lag, stationary_distribution
+from .mixing import block_indices, markov_beta_of_lag, stationary_distribution
+from .rademacher import massart_bound
 
 __all__ = [
     "NoiseSpec",
@@ -464,16 +467,19 @@ class ERMResult:
 
 
 def _l1_project(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball, sort-based thresholding."""
+    """Row-wise Euclidean projection onto the l1 ball, sort-based
+    thresholding; rows already inside the ball are returned unchanged."""
     a = np.abs(v)
-    if a.sum() <= radius:
+    inside = a.sum(axis=1) <= radius
+    if inside.all():
         return v
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(u) + 1)
-    rho = np.nonzero(u * idx > css - radius)[0][-1]
-    theta = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    u = np.sort(a, axis=1)[:, ::-1]
+    css = np.add.accumulate(u, axis=1)
+    idx = np.arange(1, v.shape[1] + 1)
+    # rho is the last index where the condition holds (index 0 always does)
+    rho = v.shape[1] - 1 - np.argmax((u * idx > css - radius)[:, ::-1], axis=1)
+    theta = (css[np.arange(len(v)), rho] - radius) / (rho + 1.0)
+    return np.where(inside[:, None], v, np.sign(v) * np.maximum(a - theta[:, None], 0.0))
 
 
 GD_STEP = 1e-2
@@ -498,7 +504,10 @@ def erm_fit(
       1e-10 ridge, flagged);
     - 'projected_gd': fixed-budget gradient descent for NeuralNet classes
       with the output weights projected onto their constraint set after
-      every step; heuristic, no optimality claim.
+      every step; heuristic, no optimality claim.  The start is drawn from
+      ``default_rng(init_seed)``.  This is the batched network kernel that
+      coverage experiments run over all their trials at once, here with a
+      single trial, so a trial's fit replays exactly through this call.
     """
     if sample.responses is None:
         raise ValueError("erm_fit needs responses")
@@ -551,7 +560,16 @@ def erm_fit(
     if method == "projected_gd":
         if not isinstance(cls, NeuralNet):
             raise ValueError("projected_gd requires a NeuralNet class")
-        return _fit_nn(cls, sample.points, targets, init_seed)
+        x = sample.points.reshape(-1, cls.dim)
+        theta = _fit_nn(cls, x[None], targets[None], [init_seed])[0]
+        return ERMResult(
+            method=method,
+            empirical_loss=float(np.sum((cls.predict(theta, x) - targets) ** 2)),
+            coeffs=theta,
+            predict=_row_predictor(cls, theta, None),
+            optimality="heuristic",
+            iterations=GD_ITERATIONS,
+        )
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -564,51 +582,63 @@ def _row_predictor(cls, params, row):
     return None  # explicit finite tables are only defined on their sample
 
 
-def _fit_nn(cls: NeuralNet, points: np.ndarray, targets: np.ndarray, init_seed: int) -> ERMResult:
+def _fit_nn(cls: NeuralNet, points: np.ndarray, targets: np.ndarray, init_seeds) -> np.ndarray:
+    """Projected gradient descent for T independent fits at once.
+
+    ``points`` is (T, n, dim), ``targets`` (T, n), with one init seed per
+    fit; returns the (T, param_length) fitted parameters.  Each fit runs a
+    lone fit's exact arithmetic: products are per-trial matmuls, the rest is
+    elementwise or sums along one trial's own rows, so rows never mix.
+    """
     if cls.activation != "logistic":
         raise ValueError("projected_gd gradients are implemented for logistic only")
-    rng = np.random.default_rng(init_seed)
-    N, d = cls.units, cls.dim
-    x = np.atleast_2d(points).reshape(-1, d)
-    a = rng.normal(0.0, 1.0, size=(N, d))
-    b = rng.normal(0.0, 0.5, size=N)
-    c = np.zeros(N + 1)
+    T, n, d = points.shape
+    N = cls.units
+    a, b, c = np.empty((T, N, d)), np.empty((T, N)), np.zeros((T, N + 1))
+    for t, seed in enumerate(init_seeds):
+        rng = np.random.default_rng(seed)
+        a[t] = rng.normal(0.0, 1.0, size=(N, d))
+        b[t] = rng.normal(0.0, 0.5, size=N)
+    # buffers reused by every step: about (2 units + 3) n floats per fit
+    z, common = np.empty((T, n, N)), np.empty((T, n, N))
+    pred, resid, resid2 = np.empty((T, n, 1)), np.empty((T, n)), np.empty((T, 1, n))
+    grad_a, grad_c = np.empty((T, N, d)), np.empty((T, N + 1))
+    # views made once, as per-call costs dominate a one-trial step; updates are in place
+    a_t, b_row, c0, c_col, c_row = (
+        a.transpose(0, 2, 1), b[:, None, :], c[:, :1], c[:, 1:, None], c[:, None, 1:])
+    pred_row, resid_col, common_t = pred[:, :, 0], resid[:, :, None], common.transpose(0, 2, 1)
+    grad_c0, grad_c_row, c_units = grad_c[:, 0], grad_c[:, None, 1:], c[:, 1:]
 
-    def project(c):
-        if cls.mode == "joint":
-            return _l1_project(c, cls.B)
-        out = c.copy()
-        out[1:] = np.clip(out[1:], -cls.B, cls.B)
-        return out
-
-    n = len(x)
     step = GD_STEP / n  # objective is a sum; scale keeps steps stable
     for _ in range(GD_ITERATIONS):
-        z = x @ a.T + b
-        sig = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
-        pred = c[0] + sig @ c[1:]
-        resid = pred - targets
-        grad_c = np.empty(N + 1)
-        grad_c[0] = 2.0 * resid.sum()
-        grad_c[1:] = 2.0 * resid @ sig
-        dsig = sig * (1.0 - sig)
-        common = 2.0 * (resid[:, None] * dsig) * c[1:]
-        grad_a = common.T @ x
-        grad_b = common.sum(axis=0)
-        a -= step * grad_a
-        b -= step * grad_b
-        c = project(c - step * grad_c)
+        np.matmul(points, a_t, out=z)
+        z += b_row
+        # clip to [-60, 60]; the two ufuncs cost less than np.clip's wrapper
+        np.minimum(np.maximum(z, -60, out=z), 60, out=z)
+        np.exp(np.negative(z, out=z), out=z)
+        z += 1.0
+        sig = np.divide(1.0, z, out=z)
+        np.matmul(sig, c_col, out=pred)
+        np.add(c0, pred_row, out=resid)
+        resid -= targets
+        np.multiply(np.add.reduce(resid, axis=1), 2.0, out=grad_c0)
+        np.multiply(resid, 2.0, out=resid2[:, 0])
+        np.matmul(resid2, sig, out=grad_c_row)
+        np.subtract(1.0, sig, out=common)  # common = 2 (resid sig (1 - sig)) c
+        common *= sig
+        common *= resid_col
+        common *= 2.0
+        common *= c_row
+        np.matmul(common_t, points, out=grad_a)
+        a -= np.multiply(grad_a, step, out=grad_a)
+        b -= step * np.add.reduce(common, axis=1)
+        c -= np.multiply(grad_c, step, out=grad_c)
+        if cls.mode == "joint":
+            c[...] = _l1_project(c, cls.B)
+        else:
+            np.minimum(np.maximum(c_units, -cls.B, out=c_units), cls.B, out=c_units)
 
-    theta = np.concatenate([a.ravel(), b, c])
-    loss = float(np.sum((cls.predict(theta, x) - targets) ** 2))
-    return ERMResult(
-        method="projected_gd",
-        empirical_loss=loss,
-        coeffs=theta,
-        predict=lambda pts, theta=theta: cls.predict(theta, pts),
-        optimality="heuristic",
-        iterations=GD_ITERATIONS,
-    )
+    return np.concatenate([a.reshape(T, -1), b, c], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -795,31 +825,52 @@ def _jsonable(obj):
     return obj
 
 
-def _trial_seed(base_seed: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(base_seed), int(index)])
+_TRIAL_CHUNK_BYTES = 1 << 24  # working memory of one chunk of coverage trials
 
 
-def _trial_error(t: int, base_seed: int, exc: Exception):
-    raise RuntimeError(
-        f"trial {t} failed (replay seed [{base_seed}, {t}]): {exc}"
-    ) from exc
-
-
-def _finish(
-    bound_formula, trials, failures, delta, base_seed, bound_value, details
+def _run_trials(
+    name, model, n, delta, trials, base_seed, bound, statistic, details, work_floats=0
 ) -> CoverageReport:
-    cov = 1.0 - failures / trials
-    se = math.sqrt(max(cov * (1.0 - cov), 0.0) / trials)
+    """The coverage-trial engine shared by every experiment.
+
+    Trial t draws its sample from seed (base_seed, t).  ``statistic(draws,
+    ts)`` maps the (sample, states) draws of trials ``ts`` to one result per
+    trial: a value, or a row whose first entry is the value compared with
+    ``bound``; ``details(results)`` gives the report's own entries.  Trials
+    run in chunks of about ``_TRIAL_CHUNK_BYTES``, counting the sample and
+    ``work_floats`` more float64s per sample point; trials are independent,
+    so the chunking changes no result.
+    """
+    sup = model.covariates.support
+    point_bytes = 8 * ((1 if sup is None else sup.shape[1]) + 2 + work_floats)
+    chunk = max(1, _TRIAL_CHUNK_BYTES // (n * point_bytes))
+    results = []
+    for start in range(0, trials, chunk):
+        ts = range(start, min(start + chunk, trials))
+        draws = []
+        for t in ts:
+            try:
+                seed = np.random.SeedSequence([base_seed, t])
+                draws.append(generate_with_states(model, n, seed))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"trial {t} failed (replay seed [{base_seed}, {t}]): {exc}"
+                ) from exc
+        results.append(np.asarray(statistic(draws, ts), dtype=float))
+    results = np.concatenate(results)
+    per_trial = np.ascontiguousarray(results.reshape(trials, -1)[:, 0])
+    failed = np.flatnonzero(per_trial > bound).tolist()
+    coverage = 1.0 - len(failed) / trials
     return CoverageReport(
         trials=trials,
-        failures=failures,
+        failures=len(failed),
         delta=delta,
-        bound_formula=bound_formula,
-        empirical_coverage=cov,
-        binomial_se=se,
+        bound_formula=name,
+        empirical_coverage=coverage,
+        binomial_se=math.sqrt(max(coverage * (1.0 - coverage), 0.0) / trials),
         base_seed=base_seed,
-        bound_value=bound_value,
-        details=details,
+        bound_value=bound,
+        details={**details(results), "failed_trials": failed, "per_trial": per_trial},
     )
 
 
@@ -850,15 +901,17 @@ def coverage_experiment(config: dict) -> CoverageReport:
     n = int(config["n"])
     delta = float(config["delta"])
     base_seed = int(config.get("base_seed", 0))
-    if bound == "rademacher_ci":
-        return _experiment_rademacher_ci(config, model, n, delta, trials, base_seed)
-    if bound == "bounded_class_ci":
-        return _experiment_bounded_class_ci(config, model, n, delta, trials, base_seed)
-    if bound == "mixing_rademacher_ci":
-        return _experiment_mixing_ci(config, model, n, delta, trials, base_seed)
-    if bound == "nn_generalization_ci":
-        return _experiment_nn_ci(config, model, n, delta, trials, base_seed)
-    raise ValueError(f"unknown bound formula {bound!r}")
+    # each returns the bound, statistic, details [, work floats] of _run_trials
+    experiments = {
+        "rademacher_ci": _experiment_rademacher_ci,
+        "bounded_class_ci": _experiment_bounded_class_ci,
+        "mixing_rademacher_ci": _experiment_mixing_ci,
+        "nn_generalization_ci": _experiment_nn_ci,
+    }
+    if bound not in experiments:
+        raise ValueError(f"unknown bound formula {bound!r}")
+    setup = experiments[bound](config, model, n, delta)
+    return _run_trials(bound, model, n, delta, trials, base_seed, *setup)
 
 
 def _class_values_from_config(config) -> np.ndarray:
@@ -868,7 +921,14 @@ def _class_values_from_config(config) -> np.ndarray:
     return vals
 
 
-def _experiment_rademacher_ci(config, model, n, delta, trials, base_seed):
+def _excess_statistic(vals: np.ndarray, pop: np.ndarray):
+    """Per-trial excess population sum ``pop`` of the empirical-sum minimizer
+    over a finite table of atom values (ties to the lowest row)."""
+    best = pop[int(np.argmin(pop))]
+    return lambda draws, ts: [pop[np.argmin(vals[:, s].sum(axis=1))] - best for _, s in draws]
+
+
+def _experiment_rademacher_ci(config, model, n, delta):
     """Empirical-minimizer excess expected loss vs the Rademacher interval.
 
     The class is a finite table of functions on the model's atoms; the
@@ -883,8 +943,6 @@ def _experiment_rademacher_ci(config, model, n, delta, trials, base_seed):
     pmf = model.covariates.pmf_per_index(n)  # (n, s)
     expectations = pmf @ vals.T  # (n, m)
     pop_sums = expectations.sum(axis=0)  # (m,)
-    best = int(np.argmin(pop_sums))
-
     env_atom = np.max(np.abs(vals), axis=0)  # (s,)
     supported_sq = np.where(pmf > 0, env_atom[None, :] ** 2, 0.0)
     env_l2_sup = math.sqrt(float(np.sum(np.max(supported_sq, axis=1))))
@@ -898,38 +956,20 @@ def _experiment_rademacher_ci(config, model, n, delta, trials, base_seed):
     )
     ci = br.rademacher_ci(inputs)
 
-    failures, failed, excesses = 0, [], np.empty(trials)
-    for t in range(trials):
-        try:
-            _, states = generate_with_states(model, n, _trial_seed(base_seed, t))
-            emp = vals[:, states].sum(axis=1)
-            fitted = int(np.argmin(emp))
-        except Exception as exc:
-            _trial_error(t, base_seed, exc)
-        excess = float(pop_sums[fitted] - pop_sums[best])
-        excesses[t] = excess
-        if excess > ci:
-            failures += 1
-            failed.append(t)
-    details = {
+    return ci, _excess_statistic(vals, pop_sums), lambda excess: {
         "rad_ave": rad_ave,
         "envelope_l2_sup": env_l2_sup,
-        "max_excess": float(np.max(excesses)),
-        "failed_trials": failed,
-        "per_trial": excesses,
+        "max_excess": float(np.max(excess)),
     }
-    return _finish("rademacher_ci", trials, failures, delta, base_seed, ci, details)
 
 
-def _experiment_bounded_class_ci(config, model, n, delta, trials, base_seed):
+def _experiment_bounded_class_ci(config, model, n, delta):
     """Realized risk of exact grid ERM vs the bounded-class interval.
 
     The hypothesis class is the finite grid itself, so ERM, the inf-class
     risk and the realized risk are all exact; log a comes from the entropy
     plug-in at V = (span dimension + 1).
     """
-    from .hypothesis import class_from_json
-
     if model.covariates.kind != "discrete":
         raise ValueError("bounded_class_ci experiment needs discrete covariates")
     cls = config["class"]
@@ -957,46 +997,33 @@ def _experiment_bounded_class_ci(config, model, n, delta, trials, base_seed):
     log_a = bv.log_a_from_entropy(params, entropy)
     bound = bv.bounded_class_ci(params, inf_risk, log_a)
 
-    failures, failed, realized = 0, [], np.empty(trials)
-    for t in range(trials):
-        try:
-            sample, states = generate_with_states(model, n, _trial_seed(base_seed, t))
+    def realized_risk(draws, ts):  # exact grid ERM on each trial's sample
+        out = []
+        for sample, states in draws:
             targets = truncate(sample.responses, cls.B)
             emp = np.sum((table.values[:, states] - targets[None, :]) ** 2, axis=1)
-            fitted = int(np.argmin(emp))
-        except Exception as exc:
-            _trial_error(t, base_seed, exc)
-        risk = float(risks[fitted])
-        realized[t] = risk
-        if risk > bound:
-            failures += 1
-            failed.append(t)
-    details = {
+            out.append(risks[np.argmin(emp)])
+        return out
+
+    return bound, realized_risk, lambda realized: {
         "c": c,
         "lam": lam,
         "inf_risk": inf_risk,
         "log_a": log_a,
         "max_risk": float(np.max(realized)),
-        "failed_trials": failed,
-        "per_trial": realized,
     }
-    return _finish("bounded_class_ci", trials, failures, delta, base_seed, bound, details)
 
 
 _BLOCK_ENUM_MAX = 10
 
 
-def _experiment_mixing_ci(config, model, n, delta, trials, base_seed):
+def _experiment_mixing_ci(config, model, n, delta):
     """Excess expected loss on a mixing chain vs the blocked interval.
 
     Block inputs: the envelope is exact; the per-block complexity is exact
     (enumeration over the stationary product law) for block sizes up to 10
     and the finite-class max bound above, which only widens the interval.
     """
-    from .mixing import block_indices
-    from .rademacher import massart_bound
-    from .hypothesis import FunctionTable
-
     if model.kind != "markov_chain":
         raise ValueError("mixing experiment needs a markov_chain model")
     vals = _class_values_from_config(config)
@@ -1028,48 +1055,25 @@ def _experiment_mixing_ci(config, model, n, delta, trials, base_seed):
 
     ci = br.mixing_rademacher_ci(n, delta, rate_r, env_max, rad_max)
 
-    expectations = vals @ pi  # (m,)
-    pop_sums = n * expectations
-    best = int(np.argmin(pop_sums))
-
-    failures, failed, excesses = 0, [], np.empty(trials)
-    for t in range(trials):
-        try:
-            _, states = generate_with_states(model, n, _trial_seed(base_seed, t))
-            emp = vals[:, states].sum(axis=1)
-            fitted = int(np.argmin(emp))
-        except Exception as exc:
-            _trial_error(t, base_seed, exc)
-        excess = float(pop_sums[fitted] - pop_sums[best])
-        excesses[t] = excess
-        if excess > ci:
-            failures += 1
-            failed.append(t)
-    details = {
+    pop_sums = n * (vals @ pi)  # (m,)
+    return ci, _excess_statistic(vals, pop_sums), lambda excess: {
         "m_hat": m_hat,
         "beta_m": beta,
         "block_sizes": sizes,
         "max_block_env": env_max,
         "max_block_rad": rad_max,
-        "max_excess": float(np.max(excesses)),
-        "failed_trials": failed,
-        "per_trial": excesses,
+        "max_excess": float(np.max(excess)),
     }
-    return _finish(
-        "mixing_rademacher_ci", trials, failures, delta, base_seed, ci, details
-    )
 
 
-def _experiment_nn_ci(config, model, n, delta, trials, base_seed):
+def _experiment_nn_ci(config, model, n, delta):
     """Reported-only: heuristic network ERM vs the width-only interval.
 
     The fitted network is a projected-gradient iterate, not a certified
     minimizer, so failures here are attributed to optimization error; the
-    report carries the per-trial empirical-loss residual against the
-    generating parameters for that purpose.
+    report carries the mean empirical-loss residual against the generating
+    parameters for that purpose (null when no 'truth_params' are given).
     """
-    from .hypothesis import class_from_json
-
     cls = config["class"]
     if isinstance(cls, (str, dict)):
         cls = class_from_json(cls)
@@ -1082,34 +1086,29 @@ def _experiment_nn_ci(config, model, n, delta, trials, base_seed):
     inf_risk = float(config.get("inf_risk", 0.0))
     bound = inf_risk + width
 
-    failures, failed = 0, []
-    risks, residuals = np.empty(trials), np.empty(trials)
-    for t in range(trials):
-        try:
-            sample, _ = generate_with_states(model, n, _trial_seed(base_seed, t))
-            fit = erm_fit(cls, sample, method="projected_gd", init_seed=1_000_003 + t)
-            risk = excess_risk_exact(fit.predict, model, n)
-        except Exception as exc:
-            _trial_error(t, base_seed, exc)
-        risks[t] = risk
-        if truth is not None:
-            targets = truncate(sample.responses, cls.B)
-            truth_loss = float(np.sum((cls.predict(truth, sample.points) - targets) ** 2))
-            residuals[t] = fit.empirical_loss - truth_loss
-        else:
-            residuals[t] = math.nan
-        if risk > bound:
-            failures += 1
-            failed.append(t)
-    details = {
-        "width": width,
-        "inf_risk": inf_risk,
-        "optimality": "heuristic",
-        "mean_risk": float(np.mean(risks)),
-        "mean_optimization_residual": float(np.nanmean(residuals)),
-        "failed_trials": failed,
-        "per_trial": risks,
-    }
-    return _finish(
-        "nn_generalization_ci", trials, failures, delta, base_seed, bound, details
-    )
+    def loss(theta, x, y):
+        return float(np.sum((cls.predict(theta, x) - y) ** 2))
+
+    def risk_and_residual(draws, ts):  # one batched fit; trial t's init seed is 1_000_003 + t
+        points = np.stack([sample.points.reshape(-1, cls.dim) for sample, _ in draws])
+        targets = np.stack([truncate(sample.responses, cls.B) for sample, _ in draws])
+        thetas = _fit_nn(cls, points, targets, [1_000_003 + t for t in ts])
+        rows = []
+        for theta, x, y in zip(thetas, points, targets):
+            risk = excess_risk_exact(lambda pts: cls.predict(theta, pts), model, n)
+            residual = math.nan if truth is None else loss(theta, x, y) - loss(truth, x, y)
+            rows.append((risk, residual))
+        return rows
+
+    def details(results):
+        risks, residuals = np.ascontiguousarray(results.T)
+        return {
+            "width": width,
+            "inf_risk": inf_risk,
+            "optimality": "heuristic",
+            "mean_risk": float(np.mean(risks)),
+            "mean_optimization_residual": None if truth is None else float(np.mean(residuals)),
+        }
+
+    # per sample point: the stacked points and targets, and the fit's buffers
+    return bound, risk_and_residual, details, cls.dim + 2 * cls.units + 4

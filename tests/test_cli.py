@@ -226,13 +226,15 @@ class TestTopLevel:
         doc = json.loads(dest.read_text())
         assert doc["outputs"]["tail"] == pytest.approx(0.6065306597126334)
 
-    def test_threads_flag_accepted(self, tmp_path, capsys):
+    def test_threads_flag_rejected(self, tmp_path, capsys):
         params = {
             "formula": "deviation_tail",
             "inputs": {"epsilon": 1.0, "envelope_l2_sup": 1.0},
         }
-        code, out, _ = run(tmp_path, capsys, "bound", params, extra=["--threads", "8"])
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, capsys, "bound", params, extra=["--threads", "8"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_seed_echoed(self, tmp_path, capsys):
         params = {"values": [[1.0, 0.0], [0.0, 1.0]], "mode": "monte_carlo"}
@@ -448,3 +450,26 @@ class TestCoverageCommand:
         code, _, err = run(tmp_path, capsys, "coverage", params)
         assert code == 2
         assert "trials" in err
+
+    def test_network_report_is_strict_json_without_truth(self, tmp_path, capsys, monkeypatch):
+        import riskbounds.simulate as sim
+
+        monkeypatch.setattr(sim, "GD_ITERATIONS", 20)
+        params = {
+            "bound": "nn_generalization_ci",
+            "model": COVERAGE_PARAMS["model"],
+            "class": {"kind": "neural_net", "dim": 1, "units": 2, "B": 1.0},
+            "n": 10,
+            "delta": 0.1,
+            "trials": 100,
+            "base_seed": 3,
+        }
+        code, out, err = run(tmp_path, capsys, "coverage", params)
+        assert code == 0, err
+
+        def refuse(name):
+            raise ValueError(f"bare {name} in the envelope")
+
+        o = json.loads(out, parse_constant=refuse)["outputs"]
+        assert o["details"]["mean_optimization_residual"] is None
+        assert len(o["details"]["per_trial"]) == 100
