@@ -56,27 +56,29 @@ def empirical_l1_distance(row_a, row_b) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
-def _distance_matrix(values: np.ndarray) -> np.ndarray:
-    return np.mean(np.abs(values[:, None, :] - values[None, :, :]), axis=2)
+def _distances_from(values: np.ndarray, j: int) -> np.ndarray:
+    """Averaged L1 distance from row j to every row, in O(m n) memory."""
+    return np.mean(np.abs(values - values[j]), axis=1)
 
 
 def greedy_cover(table: FunctionTable, r: float) -> CoveringResult:
     """Farthest-point greedy cover of the table rows at radius r.
 
     Starts from row 0 and repeatedly adds the row farthest (averaged L1)
-    from the current centers until every row is within r of some center.
-    Ties break to the lowest row index, so the result is deterministic.
-    The size upper-bounds the exact minimum.
+    from the current centers until every row is within r of some center
+    (Gonzalez 1985), computing only each new center's distances: O(k m n)
+    time and O(m n) memory for k centers.  Ties break to the lowest row
+    index, as with an all-pairs distance matrix.  The size upper-bounds the
+    exact minimum.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    d = _distance_matrix(table.values)
     centers = [0]
-    mindist = d[0].copy()
+    mindist = _distances_from(table.values, 0)
     while np.max(mindist) > r + _COVER_TOL:
         far = int(np.argmax(mindist))  # argmax returns the lowest tied index
         centers.append(far)
-        mindist = np.minimum(mindist, d[far])
+        mindist = np.minimum(mindist, _distances_from(table.values, far))
     return CoveringResult(
         radius=r, size=len(centers), method="greedy", cover_indices=tuple(centers)
     )
@@ -95,9 +97,9 @@ def exact_cover_size(table: FunctionTable, r: float) -> CoveringResult:
         raise ValueError(
             f"table has {m} rows, exact cover enumeration limited to {EXACT_MAX_ROWS}"
         )
-    d = _distance_matrix(table.values)
     # covers[j] = bitmask of rows within r of row j (m <= 16, shifts fit in int64)
-    covers = [int(np.sum(1 << np.where(d[j] <= r + _COVER_TOL)[0])) for j in range(m)]
+    near = [_distances_from(table.values, j) <= r + _COVER_TOL for j in range(m)]
+    covers = [int(np.sum(1 << np.flatnonzero(row))) for row in near]
     full = (1 << m) - 1
     best = np.full(full + 1, m + 1, dtype=np.int32)
     best[0] = 0

@@ -31,7 +31,7 @@ from .hypothesis import (
     vc_dimension_bound,
 )
 from .mixing import block_indices, markov_beta_of_lag, stationary_distribution
-from .rademacher import massart_bound
+from .rademacher import _expected_max, massart_bound
 
 __all__ = [
     "NoiseSpec",
@@ -749,8 +749,9 @@ def exact_average_complexity(values_at_atoms: np.ndarray, pmf: np.ndarray) -> fl
 
     ``values_at_atoms`` is (m, s): function j's value on atom i; ``pmf`` is
     (n, s): the independent per-index atom distribution.  Enumerates the
-    2s per-coordinate (sign, atom) combinations iteratively; refuses when
-    (2s)^n exceeds the enumeration cap.
+    (2s)^n (sign, atom) combinations in the budgeted meet-in-the-middle
+    kernel of ``rademacher_exact`` (agreeing with a direct enumeration to
+    about 1e-15 relative); refuses when (2s)^n exceeds the enumeration cap.
     """
     vals = np.atleast_2d(np.asarray(values_at_atoms, dtype=float))
     pmf = np.atleast_2d(np.asarray(pmf, dtype=float))
@@ -763,15 +764,7 @@ def exact_average_complexity(values_at_atoms: np.ndarray, pmf: np.ndarray) -> fl
             f"(2s)^n = {(2 * s) ** n} exceeds the enumeration cap; "
             "use rademacher_mc on sampled tables instead"
         )
-    # per coordinate the contribution vector over rows takes 2s values
-    contrib = np.concatenate([vals.T, -vals.T], axis=0)  # (2s, m)
-    sums = np.zeros((1, m))
-    probs = np.ones(1)
-    for k in range(n):
-        pk = np.concatenate([pmf[k], pmf[k]]) / 2.0  # (2s,)
-        sums = (sums[:, None, :] + contrib[None, :, :]).reshape(-1, m)
-        probs = (probs[:, None] * pk[None, :]).ravel()
-    return float(probs @ np.max(sums, axis=1))
+    return _expected_max(np.broadcast_to(vals.T, (n, s, m)), pmf)
 
 
 # ---------------------------------------------------------------------------
