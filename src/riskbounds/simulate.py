@@ -508,6 +508,9 @@ def erm_fit(
       ``default_rng(init_seed)``.  This is the batched network kernel that
       coverage experiments run over all their trials at once, here with a
       single trial, so a trial's fit replays exactly through this call.
+      Its units-major sums over the n points run in another order than a
+      one-fit loop over (n, units) arrays: bit-equal with one unit, within
+      1e-12 in the parameters after 300 steps with more.
     """
     if sample.responses is None:
         raise ValueError("erm_fit needs responses")
@@ -586,9 +589,14 @@ def _fit_nn(cls: NeuralNet, points: np.ndarray, targets: np.ndarray, init_seeds)
     """Projected gradient descent for T independent fits at once.
 
     ``points`` is (T, n, dim), ``targets`` (T, n), with one init seed per
-    fit; returns the (T, param_length) fitted parameters.  Each fit runs a
-    lone fit's exact arithmetic: products are per-trial matmuls, the rest is
-    elementwise or sums along one trial's own rows, so rows never mix.
+    fit; returns the (T, param_length) fitted parameters.  The step buffers
+    are units-major, (T, units, n), so every inner loop runs along the n
+    sample points.  Rows never mix: products are per-trial matmuls, the rest
+    is elementwise or sums along one trial's own rows, so row t is bit-equal
+    to the lone fit of trial t.  The n-long sums (``sig @ resid``, ``common
+    @ points`` and the bias gradient) run in another order than a one-fit
+    loop over (n, units) arrays: with one unit the result is bit-equal to
+    that loop, with more it agrees within 1e-12 in theta after 300 steps.
     """
     if cls.activation != "logistic":
         raise ValueError("projected_gd gradients are implemented for logistic only")
@@ -599,39 +607,41 @@ def _fit_nn(cls: NeuralNet, points: np.ndarray, targets: np.ndarray, init_seeds)
         rng = np.random.default_rng(seed)
         a[t] = rng.normal(0.0, 1.0, size=(N, d))
         b[t] = rng.normal(0.0, 0.5, size=N)
-    # buffers reused by every step: about (2 units + 3) n floats per fit
-    z, common = np.empty((T, n, N)), np.empty((T, n, N))
-    pred, resid, resid2 = np.empty((T, n, 1)), np.empty((T, n)), np.empty((T, 1, n))
+    # buffers reused by every step: (2 units + 2) n floats per fit
+    z, common = np.empty((T, N, n)), np.empty((T, N, n))
+    resid, resid2 = np.empty((T, n)), np.empty((T, n))
     grad_a, grad_c = np.empty((T, N, d)), np.empty((T, N + 1))
     # views made once, as per-call costs dominate a one-trial step; updates are in place
-    a_t, b_row, c0, c_col, c_row = (
-        a.transpose(0, 2, 1), b[:, None, :], c[:, :1], c[:, 1:, None], c[:, None, 1:])
-    pred_row, resid_col, common_t = pred[:, :, 0], resid[:, :, None], common.transpose(0, 2, 1)
-    grad_c0, grad_c_row, c_units = grad_c[:, 0], grad_c[:, None, 1:], c[:, 1:]
+    points_t, a_t, z_t = points.transpose(0, 2, 1), a.transpose(0, 2, 1), z.transpose(0, 2, 1)
+    b_col, c0, c_row, c_col = b[:, :, None], c[:, :1], c[:, None, 1:], c[:, 1:, None]
+    resid_row, resid2_row, resid2_col = resid[:, None, :], resid2[:, None, :], resid2[:, :, None]
+    grad_c0, grad_c_col, c_units = grad_c[:, 0], grad_c[:, 1:, None], c[:, 1:]
 
     step = GD_STEP / n  # objective is a sum; scale keeps steps stable
     for _ in range(GD_ITERATIONS):
-        np.matmul(points, a_t, out=z)
-        z += b_row
+        if d == 1:  # the one-term matmul, exactly, at under half its cost
+            np.multiply(a, points_t, out=z)
+        else:  # into the transposed view: the (n, units) product, bit for bit
+            np.matmul(points, a_t, out=z_t)
+        z += b_col
         # clip to [-60, 60]; the two ufuncs cost less than np.clip's wrapper
         np.minimum(np.maximum(z, -60, out=z), 60, out=z)
         np.exp(np.negative(z, out=z), out=z)
         z += 1.0
         sig = np.divide(1.0, z, out=z)
-        np.matmul(sig, c_col, out=pred)
-        np.add(c0, pred_row, out=resid)
+        np.matmul(c_row, sig, out=resid_row)
+        resid += c0
         resid -= targets
         np.multiply(np.add.reduce(resid, axis=1), 2.0, out=grad_c0)
-        np.multiply(resid, 2.0, out=resid2[:, 0])
-        np.matmul(resid2, sig, out=grad_c_row)
-        np.subtract(1.0, sig, out=common)  # common = 2 (resid sig (1 - sig)) c
+        np.multiply(resid, 2.0, out=resid2)
+        np.matmul(sig, resid2_col, out=grad_c_col)
+        np.subtract(1.0, sig, out=common)  # common = (1 - sig) sig (2 resid) c
         common *= sig
-        common *= resid_col
-        common *= 2.0
-        common *= c_row
-        np.matmul(common_t, points, out=grad_a)
+        common *= resid2_row
+        common *= c_col
+        np.matmul(common, points, out=grad_a)
         a -= np.multiply(grad_a, step, out=grad_a)
-        b -= step * np.add.reduce(common, axis=1)
+        b -= step * np.add.reduce(common, axis=2)
         c -= np.multiply(grad_c, step, out=grad_c)
         if cls.mode == "joint":
             c[...] = _l1_project(c, cls.B)
@@ -1103,5 +1113,5 @@ def _experiment_nn_ci(config, model, n, delta):
             "mean_optimization_residual": None if truth is None else float(np.mean(residuals)),
         }
 
-    # per sample point: the stacked points and targets, and the fit's buffers
-    return bound, risk_and_residual, details, cls.dim + 2 * cls.units + 4
+    # per sample point: the stacked points and targets, and the fit's 2 units + 2 buffers
+    return bound, risk_and_residual, details, cls.dim + 2 * cls.units + 3
