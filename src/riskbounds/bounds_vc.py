@@ -79,7 +79,8 @@ class BoundParams:
                 raise ValueError(f"{name} must be positive, got {val}")
 
 
-def _q_values(lam: float) -> tuple:
+def _q_values(lam: float | np.ndarray) -> tuple:
+    """q0..q3 at lambda; elementwise when lam is an array."""
     q0 = lam * lam / (8.0 * (lam - 1.0))
     q1 = (1.0 - 1.0 / lam) / 9.0
     q2 = (2.0 / 3.0) * (2.0 * lam - 1.0)
@@ -195,11 +196,7 @@ def V_function(c: float, lam: float) -> float:
 def _v_grid(cs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Vectorized V over a (c, lambda) grid; rows index c, columns lambda."""
     c = cs[:, None]
-    lam = lams[None, :]
-    q0 = lam * lam / (8.0 * (lam - 1.0))
-    q1 = (1.0 - 1.0 / lam) / 9.0
-    q2 = (2.0 / 3.0) * (2.0 * lam - 1.0)
-    q3 = (2.0 * lam - 1.0) ** 2 * lam / (lam - 1.0)
+    q0, q1, q2, q3 = _q_values(lams[None, :])
     p = c / (c - 1.0)
     poly = q1 * p + q2 * p * p + q3 * p**3
     branch1 = q0 * c * (c + 1.0)

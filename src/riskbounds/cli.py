@@ -4,15 +4,18 @@ Every subcommand reads a JSON parameter document (--params), computes, and
 emits a result envelope {inputs_echo, outputs, version, seed} as JSON (or
 CSV rows with --format csv) to stdout or --out.
 
-Exit codes: 0 success; 2 invalid or missing parameters (the message names
-the offending field); 1 computation failure.
+Exit codes: 0 success; 2 invalid or missing parameters, non-finite numbers
+included (the message names the offending field); 1 computation failure,
+including a non-finite result, which strict JSON cannot carry.
 """
 
 import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,6 +62,8 @@ def _num(doc: dict, name: str, where: str, default=None, required=True):
     v = doc[name]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{where}: field {name!r} must be a number, got {v!r}")
+    if (isinstance(v, int) and abs(v) > sys.float_info.max) or not math.isfinite(v):
+        raise ValueError(f"{where}: field {name!r} must be finite and within the float range")
     return float(v)
 
 
@@ -99,226 +104,115 @@ def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
     raise ValueError(f"{where}: entropy kind must be 'vc' or 'neural_net', got {kind!r}")
 
 
-def _bound_params(doc: dict, where: str) -> bv.BoundParams:
-    return bv.BoundParams(
-        n=_int(doc, "n", where),
-        B=_num(doc, "B", where),
-        delta=_num(doc, "delta", where),
-        c=_num(doc, "c", where),
-        lam=_num(doc, "lam", where),
-        eta=_num(doc, "eta", where, required=False),
-        eta_prime=_num(doc, "eta_prime", where, required=False),
-    )
-
-
 # ---------------------------------------------------------------------------
-# the `bound` formula registry
+# the `bound` formula table
 
 
-def _f_deviation_tail(d, w):
-    return {
-        "tail": br.deviation_tail(
-            _num(d, "epsilon", w), _num(d, "envelope_l2_sup", w), _bool(d, "nonnegative")
-        )
-    }
+class _Formula(NamedTuple):
+    """A `bound` formula: its callable, output keys and typed input fields.
+
+    Field kinds: float, int, `float | None`, `int | None`, bool (optional,
+    default false) or EntropyEstimate (a nested document). `params` fields are
+    read first, into the BoundParams passed as `params`. Each callable looks
+    its library function up when it runs and renames differing keywords.
+    """
+
+    call: Callable
+    outputs: tuple
+    fields: dict
+    params: dict = {}
 
 
-def _f_single_tail(d, w):
-    return {"tail": br.single_hypothesis_tail(_num(d, "eta", w), _num(d, "h_l2_sup", w))}
-
-
-def _f_conditional_k(d, w):
-    threshold, tail = br.conditional_k_bound(
-        epsilon=_num(d, "epsilon", w),
-        eta=_num(d, "eta", w),
-        k=_int(d, "k", w),
-        n=_int(d, "n", w),
-        envelope_l2_sup=_num(d, "envelope_l2_sup", w),
-        rad=_num(d, "rad", w),
-        single_tail=_num(d, "single_tail", w),
-    )
-    return {"threshold": threshold, "tail": tail}
-
-
-def _f_rademacher_ci(d, w):
-    inputs = br.RademacherCIInputs(
-        n=_int(d, "n", w),
-        envelope_l2_sup=_num(d, "envelope_l2_sup", w),
-        rad=_num(d, "rad", w),
-        delta=_num(d, "delta", w),
-        nonnegative_family=_bool(d, "nonnegative_family"),
-    )
-    return {"width": br.rademacher_ci(inputs)}
-
-
-def _f_rademacher_ci_massart(d, w):
-    return {
-        "width": br.rademacher_ci_massart(
-            n=_int(d, "n", w),
-            env=_num(d, "envelope_l2_sup", w),
-            delta=_num(d, "delta", w),
-            r=_num(d, "r", w),
-            mean_sqrt_log_cover=_num(d, "mean_sqrt_log_cover", w),
-        )
-    }
-
-
-def _f_nn_ci(d, w):
-    return {
-        "width": br.nn_generalization_ci(
-            n=_int(d, "n", w),
-            d=_int(d, "d", w),
-            B=_num(d, "B", w),
-            delta=_num(d, "delta", w),
-            improved=_bool(d, "improved"),
-            units=_int(d, "units", w, required=False),
-        )
-    }
-
-
-def _f_mixing_ci(d, w):
-    return {
-        "width": br.mixing_rademacher_ci(
-            n=_int(d, "n", w),
-            delta=_num(d, "delta", w),
-            rate_r=_num(d, "rate_r", w),
-            max_block_env=_num(d, "max_block_env", w),
-            max_block_rad=_num(d, "max_block_rad", w),
-        )
-    }
-
-
-def _f_vc_entropy(d, w):
-    return {"entropy": vc_entropy(_int(d, "V", w), _num(d, "B", w), _num(d, "r", w))}
-
-
-def _f_nn_entropy(d, w):
-    return {
-        "entropy": nn_entropy(
-            _int(d, "d", w), _int(d, "N", w), _num(d, "B", w), _num(d, "r", w)
-        )
-    }
-
-
-def _f_epsilon_n(d, w):
-    params = _bound_params(d, w)
-    return {"epsilon_n": bv.epsilon_n(params), "upper": bv.epsilon_n_upper(params)}
-
-
-def _f_optimized(d, w):
-    return {
-        "bound": bv.optimized_bound(
-            n=_int(d, "n", w),
-            B=_num(d, "B", w),
-            delta=_num(d, "delta", w),
-            log_cover_at_0094=_num(d, "log_cover", w),
-        )
-    }
-
-
-def _f_small_lambda(d, w):
-    return {
-        "bound": bv.small_lambda_bound(
-            n=_int(d, "n", w),
-            B=_num(d, "B", w),
-            delta=_num(d, "delta", w),
-            lam=_num(d, "lam", w),
-            log_cover_at_B_24n=_num(d, "log_cover", w),
-        )
-    }
-
-
-def _f_refined(d, w):
-    entropy = _entropy_from_doc(_need(d, "entropy", w), w + ".entropy")
-    return {
-        "bound": bv.refined_bound(
-            n=_int(d, "n", w),
-            B_n=_num(d, "B_n", w),
-            delta=_num(d, "delta", w),
-            c_n=_num(d, "c_n", w),
-            entropy=entropy,
-        )
-    }
-
-
-def _f_bounded_ci(d, w):
-    params = _bound_params(d, w)
-    return {
-        "width": bv.bounded_class_ci(
-            params, inf_risk=_num(d, "inf_risk", w), log_a=_num(d, "log_a", w)
-        )
-    }
-
-
-def _f_unbounded_ci(d, w):
-    params = _bound_params(d, w)
-    if params.eta is None or params.eta_prime is None:
-        raise ValueError(f"{w}: fields 'eta' and 'eta_prime' are required")
-    return {
-        "width": bv.unbounded_response_ci(
-            params,
-            inf_risk_Phi=_num(d, "inf_risk_Phi", w),
-            tail_term=_num(d, "tail_term", w),
-            bounded_ci_tail=_num(d, "bounded_ci_tail", w),
-        )
-    }
-
-
-def _f_vc_mixing(d, w):
-    params = _bound_params(d, w)
-    return {
-        "value": bv.vc_mixing_second_term(
-            n=_int(d, "n", w),
-            delta=_num(d, "delta", w),
-            rate_r=_num(d, "rate_r", w),
-            params=params,
-            log_a_star=_num(d, "log_a_star", w),
-        )
-    }
-
+_PARAMS = {"n": int, "B": float, "delta": float, "c": float, "lam": float,
+           "eta": float | None, "eta_prime": float | None}
 
 _FORMULAS = {
-    "deviation_tail": _f_deviation_tail,
-    "single_hypothesis_tail": _f_single_tail,
-    "conditional_k_bound": _f_conditional_k,
-    "rademacher_ci": _f_rademacher_ci,
-    "rademacher_ci_massart": _f_rademacher_ci_massart,
-    "nn_generalization_ci": _f_nn_ci,
-    "mixing_rademacher_ci": _f_mixing_ci,
-    "vc_entropy": _f_vc_entropy,
-    "nn_entropy": _f_nn_entropy,
-    "epsilon_n": _f_epsilon_n,
-    "optimized_bound": _f_optimized,
-    "small_lambda_bound": _f_small_lambda,
-    "refined_bound": _f_refined,
-    "bounded_class_ci": _f_bounded_ci,
-    "unbounded_response_ci": _f_unbounded_ci,
-    "vc_mixing_second_term": _f_vc_mixing,
+    "deviation_tail": _Formula(
+        lambda **kw: br.deviation_tail(**kw), ("tail",),
+        {"epsilon": float, "envelope_l2_sup": float, "nonnegative": bool},
+    ),
+    "single_hypothesis_tail": _Formula(
+        lambda **kw: br.single_hypothesis_tail(**kw), ("tail",),
+        {"eta": float, "h_l2_sup": float},
+    ),
+    "conditional_k_bound": _Formula(
+        lambda **kw: br.conditional_k_bound(**kw), ("threshold", "tail"),
+        {"epsilon": float, "eta": float, "k": int, "n": int, "envelope_l2_sup": float,
+         "rad": float, "single_tail": float},
+    ),
+    "rademacher_ci": _Formula(
+        lambda **kw: br.rademacher_ci(br.RademacherCIInputs(**kw)), ("width",),
+        {"n": int, "envelope_l2_sup": float, "rad": float, "delta": float,
+         "nonnegative_family": bool},
+    ),
+    "rademacher_ci_massart": _Formula(
+        lambda envelope_l2_sup, **kw: br.rademacher_ci_massart(env=envelope_l2_sup, **kw),
+        ("width",),
+        {"n": int, "envelope_l2_sup": float, "delta": float, "r": float,
+         "mean_sqrt_log_cover": float},
+    ),
+    "nn_generalization_ci": _Formula(
+        lambda **kw: br.nn_generalization_ci(**kw), ("width",),
+        {"n": int, "d": int, "B": float, "delta": float, "improved": bool, "units": int | None},
+    ),
+    "mixing_rademacher_ci": _Formula(
+        lambda **kw: br.mixing_rademacher_ci(**kw), ("width",),
+        {"n": int, "delta": float, "rate_r": float, "max_block_env": float,
+         "max_block_rad": float},
+    ),
+    "vc_entropy": _Formula(
+        lambda **kw: vc_entropy(**kw), ("entropy",), {"V": int, "B": float, "r": float},
+    ),
+    "nn_entropy": _Formula(
+        lambda **kw: nn_entropy(**kw), ("entropy",),
+        {"d": int, "N": int, "B": float, "r": float},
+    ),
+    "epsilon_n": _Formula(
+        lambda params: (bv.epsilon_n(params), bv.epsilon_n_upper(params)),
+        ("epsilon_n", "upper"), {}, _PARAMS,
+    ),
+    "optimized_bound": _Formula(
+        lambda log_cover, **kw: bv.optimized_bound(log_cover_at_0094=log_cover, **kw),
+        ("bound",), {"n": int, "B": float, "delta": float, "log_cover": float},
+    ),
+    "small_lambda_bound": _Formula(
+        lambda log_cover, **kw: bv.small_lambda_bound(log_cover_at_B_24n=log_cover, **kw),
+        ("bound",), {"n": int, "B": float, "delta": float, "lam": float, "log_cover": float},
+    ),
+    "refined_bound": _Formula(
+        lambda **kw: bv.refined_bound(**kw), ("bound",),
+        {"n": int, "B_n": float, "delta": float, "c_n": float, "entropy": EntropyEstimate},
+    ),
+    "bounded_class_ci": _Formula(
+        lambda **kw: bv.bounded_class_ci(**kw), ("width",),
+        {"inf_risk": float, "log_a": float}, _PARAMS,
+    ),
+    "unbounded_response_ci": _Formula(
+        lambda **kw: bv.unbounded_response_ci(**kw), ("width",),
+        {"inf_risk_Phi": float, "tail_term": float, "bounded_ci_tail": float},
+        {**_PARAMS, "eta": float, "eta_prime": float},
+    ),
+    "vc_mixing_second_term": _Formula(
+        lambda params, **kw: bv.vc_mixing_second_term(params.n, params.delta, params=params, **kw),
+        ("value",), {"rate_r": float, "log_a_star": float}, _PARAMS,
+    ),
 }
 
-_REQUIRED_FIELDS = {
-    "deviation_tail": ("epsilon", "envelope_l2_sup"),
-    "single_hypothesis_tail": ("eta", "h_l2_sup"),
-    "conditional_k_bound": (
-        "epsilon", "eta", "k", "n", "envelope_l2_sup", "rad", "single_tail",
-    ),
-    "rademacher_ci": ("n", "envelope_l2_sup", "rad", "delta"),
-    "rademacher_ci_massart": ("n", "envelope_l2_sup", "delta", "r", "mean_sqrt_log_cover"),
-    "nn_generalization_ci": ("n", "d", "B", "delta"),
-    "mixing_rademacher_ci": ("n", "delta", "rate_r", "max_block_env", "max_block_rad"),
-    "vc_entropy": ("V", "B", "r"),
-    "nn_entropy": ("d", "N", "B", "r"),
-    "epsilon_n": ("n", "B", "delta", "c", "lam"),
-    "optimized_bound": ("n", "B", "delta", "log_cover"),
-    "small_lambda_bound": ("n", "B", "delta", "lam", "log_cover"),
-    "refined_bound": ("n", "B_n", "delta", "c_n", "entropy"),
-    "bounded_class_ci": ("n", "B", "delta", "c", "lam", "inf_risk", "log_a"),
-    "unbounded_response_ci": (
-        "n", "B", "delta", "c", "lam", "eta", "eta_prime",
-        "inf_risk_Phi", "tail_term", "bounded_ci_tail",
-    ),
-    "vc_mixing_second_term": ("n", "B", "delta", "c", "lam", "rate_r", "log_a_star"),
-}
+_REQUIRED_KINDS = (float, int, EntropyEstimate)
+
+
+def _read_fields(doc: dict, fields: dict, where: str) -> dict:
+    """Keyword arguments from `doc`, nested documents read first."""
+    kwargs = {}
+    for name, kind in sorted(fields.items(), key=lambda f: f[1] is not EntropyEstimate):
+        if kind is EntropyEstimate:
+            kwargs[name] = _entropy_from_doc(doc[name], f"{where}.{name}")
+        elif kind is bool:
+            kwargs[name] = _bool(doc, name)
+        else:
+            read = _int if kind in (int, int | None) else _num
+            kwargs[name] = read(doc, name, where, required=kind in _REQUIRED_KINDS)
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -333,24 +227,25 @@ def _cmd_bound(doc, seed):
     inputs = doc.get("inputs")
     if not isinstance(inputs, dict):
         raise ValueError("bound: missing required field 'inputs' (object)")
-    missing = [f for f in _REQUIRED_FIELDS[formula] if inputs.get(f) is None]
+    spec = _FORMULAS[formula]
+    where = f"bound[{formula}]"
+    fields = {**spec.params, **spec.fields}
+    missing = [f for f, kind in fields.items() if kind in _REQUIRED_KINDS and inputs.get(f) is None]
     if missing:
-        raise ValueError(
-            f"bound[{formula}]: missing required fields: {', '.join(missing)}"
-        )
-    outputs = _FORMULAS[formula](inputs, f"bound[{formula}]")
+        raise ValueError(f"{where}: missing required fields: {', '.join(missing)}")
+    kwargs = {}
+    if spec.params:
+        kwargs["params"] = bv.BoundParams(**_read_fields(inputs, spec.params, where))
+    kwargs.update(_read_fields(inputs, spec.fields, where))
+    result = spec.call(**kwargs)
+    results = result if len(spec.outputs) > 1 else (result,)
+    outputs = dict(zip(spec.outputs, results))
     outputs["formula"] = formula
     return outputs, None
 
 
 def _cmd_optimize_constants(doc, seed):
-    consts = bv.optimize_v()
-    return {
-        "c0": consts.c0,
-        "lambda0": consts.lambda0,
-        "V0": consts.V0,
-        "radius_coeff": consts.radius_coeff,
-    }, None
+    return asdict(bv.optimize_v()), None
 
 
 def _cmd_rademacher(doc, seed):
@@ -411,8 +306,6 @@ def _cmd_entropy(doc, seed):
 
 def _cmd_mixing_demo(doc, seed):
     """Blocked tail bound vs empirical frequencies on a simulated chain."""
-    from .bounds_rademacher import single_hypothesis_tail
-
     P = np.asarray(_need(doc, "transition", "mixing-demo"), dtype=float)
     n = _int(doc, "n", "mixing-demo")
     delta = _num(doc, "delta", "mixing-demo")
@@ -431,7 +324,7 @@ def _cmd_mixing_demo(doc, seed):
     mean_h = float(pi @ h_vals)
 
     def per_block_tail(t, size):
-        return single_hypothesis_tail(t, math.sqrt(size) * h_max)
+        return br.single_hypothesis_tail(t, math.sqrt(size) * h_max)
 
     thresholds = doc.get("thresholds")
     if thresholds is None:
@@ -453,9 +346,7 @@ def _cmd_mixing_demo(doc, seed):
     base_seed = 0 if seed is None else seed
     devs = np.empty(trials)
     for t in range(trials):
-        _, states = generate_with_states(
-            model, n, np.random.SeedSequence([base_seed, t])
-        )
+        _, states = generate_with_states(model, n, np.random.SeedSequence([base_seed, t]))
         devs[t] = n * mean_h - float(np.sum(h_vals[states]))
 
     rows_data = []
@@ -473,9 +364,7 @@ def _cmd_mixing_demo(doc, seed):
                 "empirical_frequency": freq,
             }
         )
-        rows_data.append(
-            f"{t_level},{m * t_level},{tail.probability},{freq}"
-        )
+        rows_data.append(f"{t_level},{m * t_level},{tail.probability},{freq}")
     outputs = {
         "n": n,
         "block_count": m,
@@ -485,12 +374,8 @@ def _cmd_mixing_demo(doc, seed):
         "trials": trials,
         "thresholds": results,
     }
-    rows = [
-        (
-            "per_block_threshold,total_threshold,bound_probability,empirical_frequency",
-            rows_data,
-        )
-    ]
+    header = "per_block_threshold,total_threshold,bound_probability,empirical_frequency"
+    rows = [(header, rows_data)]
     return outputs, rows
 
 
@@ -505,24 +390,28 @@ def _cmd_coverage(doc, seed):
     if per_trial is not None:
         bound = outputs.get("bound_value")
         failed = set(outputs["details"].get("failed_trials", []))
-        lines = [
-            f"{i},{stat},{bound},{int(i in failed)}" for i, stat in enumerate(per_trial)
-        ]
+        lines = [f"{i},{stat},{bound},{int(i in failed)}" for i, stat in enumerate(per_trial)]
         rows = [("trial,statistic,bound,failed", lines)]
     return outputs, rows
 
 
-_COMMANDS = {
-    "bound": _cmd_bound,
-    "optimize-constants": _cmd_optimize_constants,
-    "rademacher": _cmd_rademacher,
-    "cover": _cmd_cover,
-    "entropy": _cmd_entropy,
-    "mixing-demo": _cmd_mixing_demo,
-    "coverage": _cmd_coverage,
-}
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    needs_params: bool = True
 
-_NEEDS_PARAMS = {k for k in _COMMANDS if k != "optimize-constants"}
+
+_COMMANDS = {
+    "bound": _Command(_cmd_bound, "evaluate a named interval or tail formula"),
+    "optimize-constants": _Command(
+        _cmd_optimize_constants, "grid-optimize the VC bound constants", needs_params=False
+    ),
+    "rademacher": _Command(_cmd_rademacher, "complexity of a value table (exact or Monte Carlo)"),
+    "cover": _Command(_cmd_cover, "empirical L1 covering of a value table"),
+    "entropy": _Command(_cmd_entropy, "entropy estimates and growth classification"),
+    "mixing-demo": _Command(_cmd_mixing_demo, "blocked tail bound vs a simulated Markov chain"),
+    "coverage": _Command(_cmd_coverage, "Monte-Carlo coverage experiment for an interval"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +420,7 @@ _NEEDS_PARAMS = {k for k in _COMMANDS if k != "optimize-constants"}
 
 def _emit(envelope: dict, fmt: str, out: str | None, csv_rows):
     if fmt == "json":
-        text = json.dumps(envelope, indent=2, allow_nan=True)
+        text = json.dumps(envelope, indent=2, allow_nan=False)
     else:
         lines = []
         if csv_rows is None:
@@ -560,17 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "bound": "evaluate a named interval or tail formula",
-        "optimize-constants": "grid-optimize the VC bound constants",
-        "rademacher": "complexity of a value table (exact or Monte Carlo)",
-        "cover": "empirical L1 covering of a value table",
-        "entropy": "entropy estimates and growth classification",
-        "mixing-demo": "blocked tail bound vs a simulated Markov chain",
-        "coverage": "Monte-Carlo coverage experiment for an interval",
-    }
-    for name, help_text in descriptions.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--params", help="path to the JSON parameter document")
         p.add_argument("--out", help="write the result here instead of stdout")
         p.add_argument("--seed", type=int, help="override the document's seed")
@@ -578,34 +458,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"--params: {name} is not valid JSON (RFC 8259)")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = {}
         if args.params is not None:
-            doc = json.loads(Path(args.params).read_text())
+            doc = json.loads(Path(args.params).read_text(), parse_constant=_refuse_constant)
             if not isinstance(doc, dict):
                 raise ValueError("--params must contain a JSON object")
-        elif args.command in _NEEDS_PARAMS:
+        elif _COMMANDS[args.command].needs_params:
             raise ValueError(f"{args.command}: --params is required")
-        outputs, csv_rows = _COMMANDS[args.command](doc, args.seed)
+        outputs, csv_rows = _COMMANDS[args.command].run(doc, args.seed)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # computation failure
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    envelope = {
-        "inputs_echo": doc,
-        "outputs": outputs,
-        "version": __version__,
-        "seed": args.seed,
-    }
+    envelope = {"inputs_echo": doc, "outputs": outputs, "version": __version__, "seed": args.seed}
     try:
         _emit(envelope, args.format, args.out, csv_rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError:  # json.dumps refuses NaN and infinities
+        print("computation error: the output is not finite", file=sys.stderr)
+        return 1
     return 0
 
 

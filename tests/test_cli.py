@@ -25,6 +25,92 @@ def envelope_of(out: str) -> dict:
     return json.loads(out)
 
 
+# every formula's required fields, in the order the error message lists them
+REQUIRED_FIELDS = {
+    "deviation_tail": ["epsilon", "envelope_l2_sup"],
+    "single_hypothesis_tail": ["eta", "h_l2_sup"],
+    "conditional_k_bound": [
+        "epsilon", "eta", "k", "n", "envelope_l2_sup", "rad", "single_tail",
+    ],
+    "rademacher_ci": ["n", "envelope_l2_sup", "rad", "delta"],
+    "rademacher_ci_massart": ["n", "envelope_l2_sup", "delta", "r", "mean_sqrt_log_cover"],
+    "nn_generalization_ci": ["n", "d", "B", "delta"],
+    "mixing_rademacher_ci": ["n", "delta", "rate_r", "max_block_env", "max_block_rad"],
+    "vc_entropy": ["V", "B", "r"],
+    "nn_entropy": ["d", "N", "B", "r"],
+    "epsilon_n": ["n", "B", "delta", "c", "lam"],
+    "optimized_bound": ["n", "B", "delta", "log_cover"],
+    "small_lambda_bound": ["n", "B", "delta", "lam", "log_cover"],
+    "refined_bound": ["n", "B_n", "delta", "c_n", "entropy"],
+    "bounded_class_ci": ["n", "B", "delta", "c", "lam", "inf_risk", "log_a"],
+    "unbounded_response_ci": [
+        "n", "B", "delta", "c", "lam", "eta", "eta_prime",
+        "inf_risk_Phi", "tail_term", "bounded_ci_tail",
+    ],
+    "vc_mixing_second_term": ["n", "B", "delta", "c", "lam", "rate_r", "log_a_star"],
+}
+
+# optional numeric fields, beside the required ones
+OPTIONAL_NUMBERS = {
+    "nn_generalization_ci": ["units"],
+    "epsilon_n": ["eta", "eta_prime"],
+    "bounded_class_ci": ["eta", "eta_prime"],
+    "vc_mixing_second_term": ["eta", "eta_prime"],
+}
+
+# one valid input document per formula
+VALID_INPUTS = {
+    "deviation_tail": {"epsilon": 2.0, "envelope_l2_sup": 1.0},
+    "single_hypothesis_tail": {"eta": 3.0, "h_l2_sup": 1.0},
+    "conditional_k_bound": {
+        "epsilon": 1.5, "eta": 0.5, "k": 7, "n": 50, "envelope_l2_sup": 4.0,
+        "rad": 2.5, "single_tail": 0.01,
+    },
+    "rademacher_ci": {"n": 100, "envelope_l2_sup": 10, "rad": 5, "delta": 0.05},
+    "rademacher_ci_massart": {
+        "n": 200, "envelope_l2_sup": 12.0, "delta": 0.05, "r": 0.3,
+        "mean_sqrt_log_cover": 2.2,
+    },
+    "nn_generalization_ci": {"n": 10000, "d": 2, "B": 1.0, "delta": 0.05},
+    "mixing_rademacher_ci": {
+        "n": 1000, "delta": 0.05, "rate_r": 2.718281828459045,
+        "max_block_env": 10.0, "max_block_rad": 3.0,
+    },
+    "vc_entropy": {"V": 1, "B": 1.0, "r": 0.25},
+    "nn_entropy": {"d": 2, "N": 3, "B": 1.0, "r": 0.05},
+    "epsilon_n": {"n": 1000, "B": 1.0, "delta": 0.05, "c": 11.465, "lam": 1.2945},
+    "optimized_bound": {"n": 1000, "B": 1.0, "delta": 0.05, "log_cover": 0.0},
+    "small_lambda_bound": {
+        "n": 1000, "B": 1.0, "delta": 0.05, "lam": 1.0833333333333333, "log_cover": 0.0,
+    },
+    "refined_bound": {
+        "n": 10000, "B_n": 1.0, "delta": 0.05, "c_n": 2.0,
+        "entropy": {"kind": "vc", "V": 2, "B": 1.0},
+    },
+    "bounded_class_ci": {
+        "n": 2000, "B": 1.0, "delta": 0.1, "c": 2.0, "lam": 2.0,
+        "inf_risk": 0.01, "log_a": 8.737669618283368,
+    },
+    "unbounded_response_ci": {
+        "n": 2000, "B": 1.0, "delta": 0.1, "c": 2.0, "lam": 2.0, "eta": 0.5,
+        "eta_prime": 0.25, "inf_risk_Phi": 0.02, "tail_term": 0.001, "bounded_ci_tail": 0.3,
+    },
+    "vc_mixing_second_term": {
+        "n": 5000, "B": 1.0, "delta": 0.05, "c": 2.0, "lam": 2.0,
+        "rate_r": 2.0, "log_a_star": 12.0,
+    },
+}
+
+
+def run_text(tmp_path, capsys, command, text, extra=()):
+    """Run with a parameter file holding `text` verbatim (it may be invalid JSON)."""
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    code = cli.main([command, "--params", str(path), *extra])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestBoundCommand:
     def test_rademacher_ci_reference(self, tmp_path, capsys):
         params = {
@@ -59,9 +145,34 @@ class TestBoundCommand:
         params = {"formula": "rademacher_ci", "inputs": {"n": 100}}
         code, _, err = run(tmp_path, capsys, "bound", params)
         assert code == 2
-        assert "missing required fields" in err
-        for field in ("envelope_l2_sup", "rad", "delta"):
-            assert field in err
+        assert "missing required fields: envelope_l2_sup, rad, delta\n" in err
+
+    @pytest.mark.parametrize("formula", sorted(REQUIRED_FIELDS))
+    def test_missing_fields_all_listed_per_formula(self, tmp_path, capsys, formula):
+        params = {"formula": formula, "inputs": {}}
+        code, _, err = run(tmp_path, capsys, "bound", params)
+        assert code == 2
+        listed = ", ".join(REQUIRED_FIELDS[formula])
+        assert f"bound[{formula}]: missing required fields: {listed}\n" in err
+
+    @pytest.mark.parametrize("formula", sorted(REQUIRED_FIELDS))
+    def test_string_in_a_numeric_field_is_named(self, tmp_path, capsys, formula):
+        numeric = REQUIRED_FIELDS[formula] + OPTIONAL_NUMBERS.get(formula, [])
+        for field in numeric:
+            if field == "entropy":
+                continue
+            inputs = dict(VALID_INPUTS[formula], **{field: "many"})
+            code, _, err = run(tmp_path, capsys, "bound", {"formula": formula, "inputs": inputs})
+            assert code == 2, field
+            assert f"field {field!r} must be a number, got 'many'" in err
+
+    def test_string_in_the_entropy_document_is_named(self, tmp_path, capsys):
+        entropy = {"kind": "vc", "V": "two", "B": 1.0}
+        inputs = dict(VALID_INPUTS["refined_bound"], entropy=entropy)
+        params = {"formula": "refined_bound", "inputs": inputs}
+        code, _, err = run(tmp_path, capsys, "bound", params)
+        assert code == 2
+        assert "bound[refined_bound].entropy: field 'V' must be a number" in err
 
     def test_unknown_formula(self, tmp_path, capsys):
         params = {"formula": "psi_ci", "inputs": {}}
@@ -77,9 +188,6 @@ class TestBoundCommand:
         code, _, err = run(tmp_path, capsys, "bound", params)
         assert code == 2
         assert "validity" in err
-
-    def test_every_registered_formula_has_required_fields(self):
-        assert set(cli._FORMULAS) == set(cli._REQUIRED_FIELDS)
 
     @pytest.mark.parametrize(
         "formula,inputs,key,expect",
@@ -132,6 +240,45 @@ class TestBoundCommand:
                 "bound",
                 5.171252652931097,
             ),
+            (
+                "conditional_k_bound",
+                VALID_INPUTS["conditional_k_bound"],
+                "threshold",
+                2.7,
+            ),
+            (
+                "conditional_k_bound",
+                VALID_INPUTS["conditional_k_bound"],
+                "tail",
+                0.03767094179778418,
+            ),
+            (
+                "rademacher_ci_massart",
+                VALID_INPUTS["rademacher_ci_massart"],
+                "width",
+                118.58887275554974,
+            ),
+            ("nn_entropy", VALID_INPUTS["nn_entropy"], "entropy", 220.2741319649327),
+            ("epsilon_n", VALID_INPUTS["epsilon_n"], "epsilon_n", 2.2131901272557704),
+            ("epsilon_n", VALID_INPUTS["epsilon_n"], "upper", 3.252708492999066),
+            (
+                "bounded_class_ci",
+                VALID_INPUTS["bounded_class_ci"],
+                "width",
+                171.40895669253698,
+            ),
+            (
+                "unbounded_response_ci",
+                VALID_INPUTS["unbounded_response_ci"],
+                "width",
+                0.7679999999999999,
+            ),
+            (
+                "vc_mixing_second_term",
+                VALID_INPUTS["vc_mixing_second_term"],
+                "value",
+                90435.53745508206,
+            ),
         ],
     )
     def test_formula_values(self, tmp_path, capsys, formula, inputs, key, expect):
@@ -154,6 +301,43 @@ class TestBoundCommand:
         assert envelope_of(out)["outputs"]["bound"] == pytest.approx(
             74.30904083847409, rel=1e-9
         )
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_refused(self, tmp_path, capsys, literal):
+        text = (
+            '{"formula": "rademacher_ci", "inputs": '
+            f'{{"n": 100, "envelope_l2_sup": {literal}, "rad": 5, "delta": 0.05}}}}'
+        )
+        code, out, err = run_text(tmp_path, capsys, "bound", text)
+        assert code == 2
+        assert out == ""
+        assert f"{literal} is not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "field,number",
+        [("n", "1e400"), ("n", "1" + "0" * 400), ("B", "-1e400")],
+        ids=["float-n", "integer-n", "float-B"],
+    )
+    def test_number_beyond_float_range_is_named(self, tmp_path, capsys, field, number):
+        inputs = {"n": "10000", "d": "2", "B": "1.0", "delta": "0.05", field: number}
+        body = ", ".join(f'"{k}": {v}' for k, v in inputs.items())
+        text = f'{{"formula": "nn_generalization_ci", "inputs": {{{body}}}}}'
+        code, out, err = run_text(tmp_path, capsys, "bound", text)
+        assert code == 2
+        assert out == ""
+        assert f"field {field!r} must be finite" in err
+
+    def test_non_finite_result_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        inputs = dict(VALID_INPUTS["epsilon_n"], B=1e300)  # B^2 overflows
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"formula": "epsilon_n", "inputs": inputs}))
+        dest = tmp_path / "result.json"
+        code = cli.main(["bound", "--params", str(path), "--out", str(dest)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "not finite" in captured.err
+        assert captured.out == ""
+        assert not dest.exists()
 
     def test_csv_flattens_outputs(self, tmp_path, capsys):
         params = {
@@ -206,7 +390,8 @@ class TestTopLevel:
         def explode(doc, seed):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._COMMANDS, "optimize-constants", explode)
+        command = cli._COMMANDS["optimize-constants"]._replace(run=explode)
+        monkeypatch.setitem(cli._COMMANDS, "optimize-constants", command)
         code = cli.main(["optimize-constants"])
         err = capsys.readouterr().err
         assert code == 1
