@@ -36,10 +36,11 @@ from .mixing import (
     blocked_deviation_bound,
     choose_block_size,
     markov_beta_of_lag,
+    sample_chain,
     stationary_distribution,
 )
 from .rademacher import massart_bound, rademacher_exact, rademacher_mc
-from .simulate import coverage_experiment, generate_with_states, model_from_json
+from .simulate import _TRIAL_CHUNK_BYTES, coverage_experiment
 
 __all__ = ["main"]
 
@@ -65,6 +66,16 @@ def _num(doc: dict, name: str, where: str, default=None, required=True):
     if (isinstance(v, int) and abs(v) > sys.float_info.max) or not math.isfinite(v):
         raise ValueError(f"{where}: field {name!r} must be finite and within the float range")
     return float(v)
+
+
+def _nums(doc: dict, name: str, where: str, default=None):
+    """An optional list of numbers, each checked as `_num` checks one."""
+    v = doc.get(name)
+    if v is None:
+        return default
+    if not isinstance(v, list):
+        raise ValueError(f"{where}: field {name!r} must be a list of numbers, got {v!r}")
+    return [_num({name: x}, name, where) for x in v]
 
 
 def _int(doc: dict, name: str, where: str, default=None, required=True):
@@ -312,7 +323,7 @@ def _cmd_mixing_demo(doc, seed):
     rate_r = _num(doc, "rate_r", "mixing-demo")
     trials = _int(doc, "trials", "mixing-demo", default=500)
     default_h = [1.0 if i % 2 == 0 else -1.0 for i in range(P.shape[0])]
-    h_vals = np.asarray(doc.get("h_values", default_h), dtype=float).ravel()
+    h_vals = np.array(_nums(doc, "h_values", "mixing-demo", default_h))
     if h_vals.shape[0] != P.shape[0]:
         raise ValueError("mixing-demo: h_values length must match the state count")
 
@@ -326,33 +337,23 @@ def _cmd_mixing_demo(doc, seed):
     def per_block_tail(t, size):
         return br.single_hypothesis_tail(t, math.sqrt(size) * h_max)
 
-    thresholds = doc.get("thresholds")
+    thresholds = _nums(doc, "thresholds", "mixing-demo")
     if thresholds is None:
         base = h_max * math.sqrt(max(sizes))
         thresholds = [round(base * f, 6) for f in (0.5, 1.0, 1.5, 2.0)]
 
-    model_doc = {
-        "kind": "markov_chain",
-        "B": max(h_max, 1.0),
-        "covariates": {
-            "kind": "markov",
-            "support": np.arange(P.shape[0]).tolist(),
-            "transition": P.tolist(),
-        },
-        "mean": {"kind": "atom_table", "values": [0.0] * P.shape[0]},
-        "noise": {"kind": "none"},
-    }
-    model = model_from_json(model_doc)
+    # trial t draws from SeedSequence([base_seed, t]), as coverage trials do
     base_seed = 0 if seed is None else seed
+    rngs = [np.random.default_rng(np.random.SeedSequence([base_seed, t])) for t in range(trials)]
+    chunk = max(1, _TRIAL_CHUNK_BYTES // (24 * n))  # uniforms, states and h values
     devs = np.empty(trials)
-    for t in range(trials):
-        _, states = generate_with_states(model, n, np.random.SeedSequence([base_seed, t]))
-        devs[t] = n * mean_h - float(np.sum(h_vals[states]))
+    for start in range(0, trials, chunk):
+        states = sample_chain(P, n, rngs[start : start + chunk])
+        devs[start : start + chunk] = n * mean_h - h_vals[states].sum(axis=1)
 
     rows_data = []
     results = []
     for t_level in thresholds:
-        t_level = float(t_level)
         tail = blocked_deviation_bound(per_block_tail, t_level, n, m, beta_m)
         freq = float(np.mean(devs > m * t_level))
         results.append(

@@ -19,6 +19,7 @@ __all__ = [
     "beta_exact_discrete",
     "stationary_distribution",
     "markov_beta_of_lag",
+    "sample_chain",
     "choose_block_size",
     "BlockedTail",
     "blocked_deviation_bound",
@@ -90,16 +91,36 @@ def _check_stochastic(P: np.ndarray) -> np.ndarray:
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of an irreducible finite chain."""
+    """Stationary distribution of a finite chain, refused unless unique.
+
+    Periodic chains and transient states are fine; two or more closed
+    classes (rank(P^T - I) < s - 1) leave the law non-unique.
+    """
     P = _check_stochastic(P)
     s = P.shape[0]
-    # solve pi (P - I) = 0 with sum(pi) = 1
+    # solve pi (P - I) = 0 with sum(pi) = 1; full column rank iff pi is unique
     A = np.vstack([P.T - np.eye(s), np.ones(s)])
     b = np.zeros(s + 1)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
+    pi, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < s:
+        raise ValueError("the chain has two or more closed classes: no unique stationary law")
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
+
+
+def sample_chain(P: np.ndarray, n: int, rngs) -> np.ndarray:
+    """(T, n) states of T stationary-start chains stepped together: chain t
+    draws u = rngs[t].random(n), and its state k counts the cumulative
+    probabilities out of state k-1 that are <= u_k (searchsorted, side right)."""
+    P = _check_stochastic(P)
+    cum = np.cumsum(P, axis=1)
+    u = np.array([rng.random(n) for rng in rngs]).reshape(-1, n)
+    states = np.empty(u.shape, dtype=np.int64)
+    states[:, 0] = (np.cumsum(stationary_distribution(P)) <= u[:, :1]).sum(axis=1)
+    for k in range(1, n):
+        states[:, k] = (cum[states[:, k - 1]] <= u[:, k, None]).sum(axis=1)
+    return states
 
 
 def markov_beta_of_lag(P: np.ndarray, pi: np.ndarray | None, m: int) -> float:

@@ -131,7 +131,8 @@ def rademacher_mc(table: FunctionTable, draws: int, seed: int) -> RademacherEsti
 
     Deterministic given the seed.  std_error is the sample standard
     deviation of the per-draw suprema divided by sqrt(draws).  The suprema
-    are taken in row blocks of the product that fit ``_WORK_BYTES``.
+    are taken in row blocks of the product that fit ``_WORK_BYTES``; the
+    signs overwrite their integer draws, 1 MiB at a time.
     """
     if draws < 100:
         raise ValueError(f"draws must be >= 100, got {draws}")
@@ -139,9 +140,13 @@ def rademacher_mc(table: FunctionTable, draws: int, seed: int) -> RademacherEsti
     sups = np.empty(draws)
     chunk = max(1, (1 << 22) // max(table.n, 1))
     rows = max(1, _WORK_BYTES // (8 * table.m))
+    step = max(1, (1 << 17) // max(table.n, 1))
     for start in range(0, draws, chunk):
         stop = min(start + chunk, draws)
-        signs = 2.0 * rng.integers(0, 2, size=(stop - start, table.n)) - 1.0
+        bits = rng.integers(0, 2, size=(stop - start, table.n))
+        signs = bits.view(np.float64)
+        for lo in range(0, stop - start, step):
+            np.subtract(2 * bits[lo : lo + step], 1, out=signs[lo : lo + step])
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
             sups[lo:hi] = np.max(signs[lo - start : hi - start] @ table.values.T, axis=1)

@@ -30,7 +30,7 @@ from .hypothesis import (
     truncate,
     vc_dimension_bound,
 )
-from .mixing import block_indices, markov_beta_of_lag, stationary_distribution
+from .mixing import block_indices, markov_beta_of_lag, sample_chain, stationary_distribution
 from .rademacher import _expected_max, massart_bound
 
 __all__ = [
@@ -387,54 +387,44 @@ def response_tail_term(model: DataModel, n: int) -> float:
 # sampling
 
 
-def generate_with_states(model: DataModel, n: int, seed) -> tuple:
-    """Sample the model; also return atom indices for finite supports.
-
-    Draw order is fixed (covariates first, then noise) so results are
-    reproducible bit-for-bit from the seed.
-    """
+def _draw_trials(model: DataModel, n: int, seeds) -> tuple:
+    """Trial t's sample from ``default_rng(seeds[t])`` alone, covariates then
+    noise: points (T, n, dim), responses (T, n) and atom indices (T, n), or
+    None for uniform covariates."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    cov = model.covariates
-
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    cov, noise = model.covariates, model.noise
     states = None
     if cov.kind == "uniform":
-        x = rng.uniform(cov.low, cov.high, size=n)[:, None]
-    elif cov.kind == "discrete":
-        pmf = cov.pmf_per_index(n)
-        if cov.probs_end is None:
-            states = rng.choice(cov.n_states, size=n, p=cov.probs)
-        else:
-            u = rng.random(n)
-            cum = np.cumsum(pmf, axis=1)
-            states = (u[:, None] > cum).sum(axis=1)
-        x = cov.support[states]
-    else:  # markov, stationary start
-        pi = stationary_distribution(cov.transition)
-        cum = np.cumsum(cov.transition, axis=1)
-        u = rng.random(n)
-        states = np.empty(n, dtype=np.int64)
-        states[0] = np.searchsorted(np.cumsum(pi), u[0], side="right")
-        for k in range(1, n):
-            states[k] = np.searchsorted(cum[states[k - 1]], u[k], side="right")
+        x = np.array([rng.uniform(cov.low, cov.high, size=n) for rng in rngs])[..., None]
+    elif cov.kind == "markov":
+        states = sample_chain(cov.transition, n, rngs)
+    elif cov.probs_end is None:
+        states = np.array([rng.choice(cov.n_states, size=n, p=cov.probs) for rng in rngs])
+    else:
+        cum = np.cumsum(cov.pmf_per_index(n), axis=1)
+        states = np.array([(rng.random(n)[:, None] > cum).sum(axis=1) for rng in rngs])
+    if states is not None:
         x = cov.support[states]
 
-    if model.mean.kind == "atom_table":
-        f = model.mean.values[states]
-    else:
-        f = model.mean.at_points(x)
-    f = f + model.drift_offsets(n)
+    f = (model.mean.values[states] if model.mean.kind == "atom_table"
+         else model.mean.at_points(x.reshape(-1, x.shape[2])).reshape(len(rngs), n))
+    f += model.drift_offsets(n)
 
-    if model.noise.kind == "none":
-        eps = np.zeros(n)
-    elif model.noise.kind == "discrete":
-        eps = rng.choice(model.noise.values, size=n, p=model.noise.probs)
-    else:
-        eps = rng.uniform(-model.noise.half_width, model.noise.half_width, size=n)
+    for row, rng in zip(f, rngs):  # noise comes after the covariates in each stream
+        if noise.kind == "discrete":
+            row += rng.choice(noise.values, size=n, p=noise.probs)
+        elif noise.kind == "uniform":
+            row += rng.uniform(-noise.half_width, noise.half_width, size=n)
+    return x, f, states
 
-    sample = SequentialSample(points=x, responses=f + eps)
-    return sample, states
+
+def generate_with_states(model: DataModel, n: int, seed) -> tuple:
+    """Sample the model and its atom indices (None for uniform covariates),
+    bit-for-bit reproducible from the seed: the one-seed ``_draw_trials``."""
+    x, y, states = _draw_trials(model, n, [seed])
+    return SequentialSample(points=x[0], responses=y[0]), states if states is None else states[0]
 
 
 def generate(model: DataModel, n: int, seed) -> SequentialSample:
@@ -836,8 +826,8 @@ def _run_trials(
 ) -> CoverageReport:
     """The coverage-trial engine shared by every experiment.
 
-    Trial t draws its sample from seed (base_seed, t).  ``statistic(draws,
-    ts)`` maps the (sample, states) draws of trials ``ts`` to one result per
+    Trial t draws its sample from seed (base_seed, t).  ``statistic(*draws,
+    ts)`` maps the ``_draw_trials`` arrays of trials ``ts`` to one result per
     trial: a value, or a row whose first entry is the value compared with
     ``bound``; ``details(results)`` gives the report's own entries.  Trials
     run in chunks of about ``_TRIAL_CHUNK_BYTES``, counting the sample and
@@ -850,16 +840,18 @@ def _run_trials(
     results = []
     for start in range(0, trials, chunk):
         ts = range(start, min(start + chunk, trials))
-        draws = []
-        for t in ts:
-            try:
-                seed = np.random.SeedSequence([base_seed, t])
-                draws.append(generate_with_states(model, n, seed))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"trial {t} failed (replay seed [{base_seed}, {t}]): {exc}"
-                ) from exc
-        results.append(np.asarray(statistic(draws, ts), dtype=float))
+        seeds = [np.random.SeedSequence([base_seed, t]) for t in ts]
+        try:
+            draws = _draw_trials(model, n, seeds)
+        except Exception:  # draw each trial alone to name the one that fails
+            for t, seed in zip(ts, seeds):
+                try:
+                    _draw_trials(model, n, [seed])
+                except Exception as exc:
+                    msg = f"trial {t} failed (replay seed [{base_seed}, {t}]): {exc}"
+                    raise RuntimeError(msg) from exc
+            raise
+        results.append(np.asarray(statistic(*draws, ts), dtype=float))
     results = np.concatenate(results)
     per_trial = np.ascontiguousarray(results.reshape(trials, -1)[:, 0])
     failed = np.flatnonzero(per_trial > bound).tolist()
@@ -928,7 +920,7 @@ def _excess_statistic(vals: np.ndarray, pop: np.ndarray):
     """Per-trial excess population sum ``pop`` of the empirical-sum minimizer
     over a finite table of atom values (ties to the lowest row)."""
     best = pop[int(np.argmin(pop))]
-    return lambda draws, ts: [pop[np.argmin(vals[:, s].sum(axis=1))] - best for _, s in draws]
+    return lambda _x, _y, states, ts: [pop[np.argmin(vals[:, s].sum(1))] - best for s in states]
 
 
 def _experiment_rademacher_ci(config, model, n, delta):
@@ -1000,11 +992,10 @@ def _experiment_bounded_class_ci(config, model, n, delta):
     log_a = bv.log_a_from_entropy(params, entropy)
     bound = bv.bounded_class_ci(params, inf_risk, log_a)
 
-    def realized_risk(draws, ts):  # exact grid ERM on each trial's sample
+    def realized_risk(_x, responses, states, ts):  # exact grid ERM on each trial's sample
         out = []
-        for sample, states in draws:
-            targets = truncate(sample.responses, cls.B)
-            emp = np.sum((table.values[:, states] - targets[None, :]) ** 2, axis=1)
+        for y, s in zip(responses, states):
+            emp = np.sum((table.values[:, s] - truncate(y, cls.B)[None, :]) ** 2, axis=1)
             out.append(risks[np.argmin(emp)])
         return out
 
@@ -1092,9 +1083,8 @@ def _experiment_nn_ci(config, model, n, delta):
     def loss(theta, x, y):
         return float(np.sum((cls.predict(theta, x) - y) ** 2))
 
-    def risk_and_residual(draws, ts):  # one batched fit; trial t's init seed is 1_000_003 + t
-        points = np.stack([sample.points.reshape(-1, cls.dim) for sample, _ in draws])
-        targets = np.stack([truncate(sample.responses, cls.B) for sample, _ in draws])
+    def risk_and_residual(points, responses, _states, ts):
+        targets = truncate(responses, cls.B)
         thetas = _fit_nn(cls, points, targets, [1_000_003 + t for t in ts])
         rows = []
         for theta, x, y in zip(thetas, points, targets):
@@ -1113,5 +1103,5 @@ def _experiment_nn_ci(config, model, n, delta):
             "mean_optimization_residual": None if truth is None else float(np.mean(residuals)),
         }
 
-    # per sample point: the stacked points and targets, and the fit's 2 units + 2 buffers
-    return bound, risk_and_residual, details, cls.dim + 2 * cls.units + 3
+    # per sample point: the targets, and the fit's 2 units + 2 buffers
+    return bound, risk_and_residual, details, 2 * cls.units + 3

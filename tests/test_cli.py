@@ -577,6 +577,22 @@ class TestMixingDemoCommand:
         assert code == 2
         assert "h_values" in err
 
+    @pytest.mark.parametrize("field,value", [("thresholds", "[0.5, 1e400]"),
+                                             ("h_values", "[1.0, -1e400]")])
+    def test_number_beyond_float_range_is_named(self, tmp_path, capsys, field, value):
+        text = json.dumps(self.PARAMS)[:-1] + f', "{field}": {value}}}'
+        code, out, err = run_text(tmp_path, capsys, "mixing-demo", text)
+        assert code == 2
+        assert out == ""
+        assert f"field {field!r} must be finite" in err
+
+    def test_chain_without_unique_law_exits_two(self, tmp_path, capsys):
+        params = dict(self.PARAMS, transition=[[1.0, 0.0], [0.0, 1.0]])
+        code, out, err = run(tmp_path, capsys, "mixing-demo", params)
+        assert code == 2
+        assert out == ""
+        assert "no unique stationary law" in err
+
     def test_deterministic_given_seed(self, tmp_path, capsys):
         _, out1, _ = run(tmp_path, capsys, "mixing-demo", self.PARAMS, extra=["--seed", "2"])
         _, out2, _ = run(tmp_path, capsys, "mixing-demo", self.PARAMS, extra=["--seed", "2"])

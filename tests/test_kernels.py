@@ -250,3 +250,13 @@ class TestMemoryBudget:
         table = FunctionTable(np.random.default_rng(3).normal(size=(1000, 10)))
         peak = _peak_bytes(lambda: rademacher_mc(table, draws=100_000, seed=0))
         assert peak <= 2 * rademacher._WORK_BYTES
+
+    def test_monte_carlo_signs_overwrite_their_draws(self):
+        # at the benchmark shape a float copy of the chunk's 32 MiB of integer
+        # draws took the peak to 64 MiB; now it is the draws, one product
+        # block (the whole chunk here) and the 1 MiB conversion buffer
+        m, n = 200, 500
+        table = FunctionTable(np.random.default_rng(3).normal(size=(m, n)))
+        chunk = (1 << 22) // n
+        peak = _peak_bytes(lambda: rademacher_mc(table, draws=10_000, seed=4))
+        assert peak <= 8 * chunk * (n + m) + 2**20 + 64 * 1024, peak

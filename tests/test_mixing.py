@@ -102,6 +102,27 @@ class TestStationary:
         with pytest.raises(ValueError, match="stochastic"):
             stationary_distribution(np.array([[0.9, 0.2], [0.1, 0.9]]))
 
+    @pytest.mark.parametrize("P", [
+        np.eye(2),
+        np.eye(3),
+        [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.3, 0.4, 0.3], [0.0, 0.0, 1.0]],  # two absorbing states
+    ], ids=["I2", "I3", "two-blocks", "two-absorbing"])
+    def test_refuses_two_closed_classes(self, P):
+        with pytest.raises(ValueError, match="no unique stationary law"):
+            stationary_distribution(np.asarray(P))
+
+    def test_periodic_chain_has_one_law(self):
+        np.testing.assert_allclose(
+            stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]])), HALF, atol=1e-12
+        )
+
+    def test_transient_state_gets_no_mass(self):
+        P = np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]])
+        np.testing.assert_allclose(
+            stationary_distribution(P), [0.0, 6.0 / 13.0, 7.0 / 13.0], atol=1e-12
+        )
+
 
 class TestMarkovBeta:
     def test_geometric_decay_reference(self):

@@ -306,8 +306,8 @@ class TestTrialChunks:
 
 class TestMemoryBudget:
     def test_chunk_peak_within_work_floats(self, monkeypatch):
-        # one chunk of trials holds its draws and the statistic's stacked
-        # inputs and fit buffers: _run_trials budgets (dim + 2 + work_floats)
+        # one chunk of trials holds its batched draws and the statistic's
+        # targets and fit buffers: _run_trials budgets (dim + 2 + work_floats)
         # float64s per sample point.  The slack covers numpy's 64 KiB ufunc
         # buffer and about 1 KiB of objects per trial (measured: 124 KB in
         # all); one uncounted float per point would add 160 KB.
@@ -326,9 +326,8 @@ class TestMemoryBudget:
         _, statistic, _, work_floats = sim._experiment_nn_ci({"class": cls}, model, n, 0.1)
         tracemalloc.start()
         try:
-            draws = [sim.generate_with_states(model, n, np.random.SeedSequence([0, t]))
-                     for t in range(T)]
-            statistic(draws, range(T))
+            draws = sim._draw_trials(model, n, [np.random.SeedSequence([0, t]) for t in range(T)])
+            statistic(*draws, range(T))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -601,16 +601,14 @@ class TestCoverageExperiments:
     def test_trial_error_carries_replay_seed(self, monkeypatch):
         import riskbounds.simulate as sim
 
-        original = sim.generate_with_states
-        calls = {"t": -1}
+        original = sim._draw_trials
 
-        def boom(model, n, seed):
-            calls["t"] += 1
-            if calls["t"] == 3:
+        def boom(model, n, seeds):  # any draw that includes trial 3 fails
+            if any(seed.entropy == [7, 3] for seed in seeds):
                 raise ValueError("synthetic failure")
-            return original(model, n, seed)
+            return original(model, n, seeds)
 
-        monkeypatch.setattr(sim, "generate_with_states", boom)
+        monkeypatch.setattr(sim, "_draw_trials", boom)
         with pytest.raises(RuntimeError, match=r"replay seed \[7, 3\]"):
             coverage_experiment(dict(BASE_RAD_CONFIG))
 
