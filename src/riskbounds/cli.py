@@ -78,6 +78,35 @@ def _nums(doc: dict, name: str, where: str, default=None):
     return [_num({name: x}, name, where) for x in v]
 
 
+def _square_matrix(doc: dict, name: str, where: str) -> np.ndarray:
+    """A non-empty square list of lists of numbers, each checked as `_num` checks one."""
+    rows = _need(doc, name, where)
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+        raise ValueError(
+            f"{where}: field {name!r} must be a non-empty square list of lists of numbers, "
+            f"got {rows!r}"
+        )
+    return np.array([_nums({name: r}, name, where) for r in rows])
+
+
+def _non_finite_path(value, path: str = ""):
+    """The JSON path of the first non-finite number in a parsed document, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for sub_path, item in items:
+        found = _non_finite_path(item, sub_path)
+        if found is not None:
+            return found
+    return None
+
+
 def _int(doc: dict, name: str, where: str, default=None, required=True):
     v = _num(doc, name, where, default=default, required=required)
     if v is None:
@@ -317,7 +346,7 @@ def _cmd_entropy(doc, seed):
 
 def _cmd_mixing_demo(doc, seed):
     """Blocked tail bound vs empirical frequencies on a simulated chain."""
-    P = np.asarray(_need(doc, "transition", "mixing-demo"), dtype=float)
+    P = _square_matrix(doc, "transition", "mixing-demo")
     n = _int(doc, "n", "mixing-demo")
     delta = _num(doc, "delta", "mixing-demo")
     rate_r = _num(doc, "rate_r", "mixing-demo")
@@ -487,6 +516,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError:  # json.dumps refuses NaN and infinities
+        # the readers refuse what they read; an overflowing number in a field
+        # that nothing reads reaches the output only through inputs_echo
+        bad = _non_finite_path(doc)
+        if bad is not None:
+            print(f"error: --params: field {bad!r} must be finite and within the float range",
+                  file=sys.stderr)
+            return 2
         print("computation error: the output is not finite", file=sys.stderr)
         return 1
     return 0

@@ -1,15 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riskbounds import bounds_vc
 from riskbounds.bounds_vc import (
     SMALL_LAMBDA_MAX,
     A_of_sample,
     BoundParams,
+    OptimizedConstants,
     V_function,
+    _box_lower_bound,
+    _coarse_argmin,
+    _grid_factors,
+    _q_values,
+    _v_grid,
     b_coeff,
     bounded_class_ci,
     constant_profile,
@@ -29,6 +37,42 @@ from riskbounds.bounds_vc import (
 from riskbounds.covering import EntropyEstimate, vc_entropy
 
 P_2_2 = BoundParams(n=100, B=1.0, delta=0.05, c=2.0, lam=2.0)
+
+STEP = 0.005
+COARSE_CS = np.arange(1.5, 50.0 + STEP / 2, STEP)
+COARSE_LAMS = np.arange(1.05, 3.0 + STEP / 2, STEP)
+FACTORS = _grid_factors(COARSE_CS, COARSE_LAMS)
+
+
+def _v_scalar(c, lam):
+    """The scalar V formula that `V_function` used before it called `_v_grid`."""
+    q0, q1, q2, q3 = _q_values(lam)
+    p = c / (c - 1.0)
+    poly = q1 * p + q2 * p * p + q3 * p**3
+    return 32.0 * max(q0 * c * (c + 1.0), poly * math.log(2.0 * (c + 1.0) * (2.0 * c + 3.0)))
+
+
+def _optimize_v_full_scan():
+    """Reference: `optimize_v` as it was with a full scan of the coarse grid."""
+    step = 0.005
+    cs = np.arange(1.5, 50.0 + step / 2, step)
+    lams = np.arange(1.05, 3.0 + step / 2, step)
+    grid = _v_grid(cs, lams)
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    del grid
+    c_best, l_best = float(cs[i]), float(lams[j])
+    while step > 1e-4:
+        step /= 5.0
+        cs = c_best + np.arange(-10, 11) * step
+        lams = l_best + np.arange(-10, 11) * step
+        cs = cs[cs > 1.0 + 1e-9]
+        lams = lams[lams > 1.0 + 1e-9]
+        grid = _v_grid(cs, lams)
+        i, j = np.unravel_index(np.argmin(grid), grid.shape)
+        c_best, l_best = float(cs[i]), float(lams[j])
+    v0 = _v_scalar(c_best, l_best)
+    coeff = (1.0 / (4.0 * (math.sqrt(2.0) + 1.0))) * (1.0 - 1.0 / c_best)
+    return OptimizedConstants(c0=c_best, lambda0=l_best, V0=v0, radius_coeff=coeff)
 
 
 class TestParams:
@@ -177,6 +221,89 @@ class TestOptimizer:
         for dc in (-0.05, 0.05):
             for dl in (-0.02, 0.02):
                 assert opt.V0 <= V_function(opt.c0 + dc, opt.lambda0 + dl) + 1e-9
+
+    def test_equals_full_scan(self):
+        ref = _optimize_v_full_scan()
+        opt = optimize_v()
+        for field in ("c0", "lambda0", "V0", "radius_coeff"):
+            assert getattr(opt, field) == getattr(ref, field), field
+
+    def test_coarse_argmin_is_the_full_scan_argmin(self):
+        i, j, evaluated = _coarse_argmin(COARSE_CS, COARSE_LAMS)
+        grid = _v_grid(COARSE_CS, COARSE_LAMS)
+        assert (i, j) == (1992, 49)
+        assert (i, j) == np.unravel_index(np.argmin(grid), grid.shape)
+        assert _v_grid(COARSE_CS[i : i + 1], COARSE_LAMS[j : j + 1])[0, 0] == grid.min()
+        assert evaluated < grid.size // 100
+
+    @pytest.mark.parametrize("leaf_points", [1, 256])
+    def test_tie_goes_to_lowest_flat_index(self, monkeypatch, leaf_points):
+        # repeated rows and columns make the minimum a 48-way tie; with
+        # one-point leaves a later tie is evaluated before an earlier one
+        monkeypatch.setattr(bounds_vc, "_LEAF_POINTS", leaf_points)
+        cs, lams = np.repeat(COARSE_CS[1908:1910], 16), np.repeat(COARSE_LAMS[47:69], 3)
+        i, j, _ = _coarse_argmin(cs, lams)
+        grid = _v_grid(cs, lams)
+        assert np.count_nonzero(grid == grid.min()) == 48
+        assert (i, j) == np.unravel_index(np.argmin(grid), grid.shape)
+
+    def test_peak_memory(self):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            optimize_v()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+
+_ROW, _COL = len(COARSE_CS), len(COARSE_LAMS)
+
+
+@st.composite
+def _index_boxes(draw):
+    i0 = draw(st.integers(0, _ROW - 1))
+    i1 = draw(st.integers(i0 + 1, min(_ROW, i0 + 300)))
+    j0 = draw(st.integers(0, _COL - 1))
+    j1 = draw(st.integers(j0 + 1, _COL))
+    return i0, i1, j0, j1
+
+
+class TestBoxLowerBound:
+    @given(_index_boxes())
+    @example((1992, 1993, 49, 50))  # the coarse argmin, one point
+    @example((0, 1, 0, 1))
+    @example((_ROW - 1, _ROW, _COL - 1, _COL))
+    @example((1992, 1993, 0, _COL))  # one row
+    @example((0, 300, 49, 50))  # one column
+    @example((100, 101, FACTORS.j_q0, FACTORS.j_q0 + 1))  # lambda = 2, one point
+    @example((100, 400, FACTORS.j_q0 - 3, FACTORS.j_q0 + 4))  # contains lambda = 2
+    @example((1900, 2100, FACTORS.j_q3 - 5, FACTORS.j_q3 + 5))  # contains q3's minimum
+    @example((1990, 1995, FACTORS.j_q3, FACTORS.j_q3 + 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bound_holds_on_box(self, box):
+        i0, i1, j0, j1 = box
+        block = _v_grid(COARSE_CS[i0:i1], COARSE_LAMS[j0:j1])
+        assert _box_lower_bound(FACTORS, i0, i1, j0, j1) <= block.min()
+
+    @given(st.integers(0, _ROW - 1), st.integers(0, _COL - 1))
+    @settings(max_examples=100)
+    def test_one_point_box_is_exact(self, i, j):
+        v = _v_grid(COARSE_CS[i : i + 1], COARSE_LAMS[j : j + 1])[0, 0]
+        assert _box_lower_bound(FACTORS, i, i + 1, j, j + 1) == v
+
+    def test_factors_are_monotone_where_the_bound_assumes(self):
+        # the bound reads each factor's least value off the box's ends
+        p = COARSE_CS / (COARSE_CS - 1.0)
+        q0, q1, q2, q3 = FACTORS.q
+        assert np.all(np.diff(p) < 0) and np.all(np.diff(FACTORS.p3) < 0)
+        assert np.all(np.diff(FACTORS.log_a) > 0)
+        assert np.all(np.diff(q1) > 0) and np.all(np.diff(q2) > 0)
+        for q, k in ((q0, FACTORS.j_q0), (q3, FACTORS.j_q3)):
+            assert np.all(np.diff(q[: k + 1]) < 0) and np.all(np.diff(q[k:]) > 0)
+        assert COARSE_LAMS[FACTORS.j_q0] == pytest.approx(2.0)
 
 
 class TestHeadlineBound:

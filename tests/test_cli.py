@@ -327,6 +327,19 @@ class TestBoundCommand:
         assert out == ""
         assert f"field {field!r} must be finite" in err
 
+    @pytest.mark.parametrize(
+        "extra,path",
+        [('"foo": 1e400', "inputs.foo"), ('"foo": [1, {"bar": -1e400}]', "inputs.foo[1].bar")],
+        ids=["field", "nested"],
+    )
+    def test_unread_number_beyond_float_range_is_named(self, tmp_path, capsys, extra, path):
+        text = ('{"formula": "deviation_tail", "inputs": '
+                f'{{"epsilon": 2.0, "envelope_l2_sup": 1.0, {extra}}}}}')
+        code, out, err = run_text(tmp_path, capsys, "bound", text)
+        assert code == 2
+        assert out == ""
+        assert f"field {path!r} must be finite" in err
+
     def test_non_finite_result_exits_one_and_writes_nothing(self, tmp_path, capsys):
         inputs = dict(VALID_INPUTS["epsilon_n"], B=1e300)  # B^2 overflows
         path = tmp_path / "p.json"
@@ -578,13 +591,26 @@ class TestMixingDemoCommand:
         assert "h_values" in err
 
     @pytest.mark.parametrize("field,value", [("thresholds", "[0.5, 1e400]"),
-                                             ("h_values", "[1.0, -1e400]")])
+                                             ("h_values", "[1.0, -1e400]"),
+                                             ("transition", "[[0.9, 1e400], [0.1, 0.9]]")])
     def test_number_beyond_float_range_is_named(self, tmp_path, capsys, field, value):
         text = json.dumps(self.PARAMS)[:-1] + f', "{field}": {value}}}'
         code, out, err = run_text(tmp_path, capsys, "mixing-demo", text)
         assert code == 2
         assert out == ""
         assert f"field {field!r} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "transition",
+        [5, "abc", [[0.5, 0.5], [0.5]], [], [0.5, 0.5], [[0.5, 0.5]], [[0.5, "x"], [0.5, 0.5]]],
+        ids=["scalar", "string", "ragged", "empty", "flat", "not-square", "non-number"],
+    )
+    def test_malformed_transition_is_named(self, tmp_path, capsys, transition):
+        params = dict(self.PARAMS, transition=transition)
+        code, out, err = run(tmp_path, capsys, "mixing-demo", params)
+        assert code == 2
+        assert out == ""
+        assert "field 'transition' must be" in err
 
     def test_chain_without_unique_law_exits_two(self, tmp_path, capsys):
         params = dict(self.PARAMS, transition=[[1.0, 0.0], [0.0, 1.0]])
