@@ -14,6 +14,8 @@ function in the family is nonnegative (the epsilon/2 refinement).
 import math
 from dataclasses import dataclass
 
+from .mixing import _block_count
+
 __all__ = [
     "RademacherCIInputs",
     "deviation_tail",
@@ -211,7 +213,7 @@ def mixing_rademacher_ci(
             f"delta/(2n)={half:.3g} outside [r^-n, r^-1] = [{lo:.3g}, {hi:.3g}]; "
             f"admissible delta range is [{2 * n * lo:.3g}, {min(1.0, 2 * n * hi):.3g}]"
         )
-    m_hat = math.ceil(math.log(2.0 * n / delta) / math.log(rate_r))
+    m_hat = _block_count(n, delta, rate_r)
     return (
         2.0 ** 1.5
         * m_hat

@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covering import EntropyEstimate
+from .mixing import _block_count
 
 __all__ = [
     "BoundParams",
@@ -475,7 +476,7 @@ def vc_mixing_second_term(
         raise ValueError(f"rate_r must exceed 1, got {rate_r}")
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    m = math.ceil(math.log(2.0 * n / delta) / math.log(rate_r))
+    m = _block_count(n, delta, rate_r)
     if m >= n:
         raise ValueError(f"block count m={m} must be below n={n}; mixing too slow")
     n_m = n // m

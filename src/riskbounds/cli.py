@@ -410,9 +410,14 @@ def _cmd_mixing_demo(doc, seed):
 
 
 def _cmd_coverage(doc, seed):
-    config = dict(doc)
-    if seed is not None:
-        config["base_seed"] = seed
+    config = {
+        **doc,
+        "bound": _need(doc, "bound", "coverage"),
+        "n": _int(doc, "n", "coverage"),
+        "trials": _int(doc, "trials", "coverage"),
+        "delta": _num(doc, "delta", "coverage"),
+        "base_seed": _int(doc, "base_seed", "coverage", default=0) if seed is None else seed,
+    }
     report = coverage_experiment(config)
     outputs = report.to_json()
     per_trial = outputs["details"].get("per_trial")

@@ -8,7 +8,8 @@ covering computations consume these tables.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -84,15 +85,11 @@ class GridSpec:
         raise ValueError("empty parameter grid: provide axes or points")
 
     def to_json(self) -> dict:
-        if self.points is not None:
-            return {"points": np.asarray(self.points, dtype=float).tolist()}
-        return {"axes": [np.asarray(a, dtype=float).tolist() for a in self.axes]}
+        return _to_doc(self)
 
     @staticmethod
     def from_json(doc: dict) -> "GridSpec":
-        if "points" in doc and doc["points"] is not None:
-            return GridSpec(points=np.asarray(doc["points"], dtype=float))
-        return GridSpec(axes=tuple(np.asarray(a, dtype=float) for a in doc["axes"]))
+        return _from_doc(GridSpec, doc, "grid")
 
 
 @dataclass(frozen=True)
@@ -392,58 +389,64 @@ def vc_dimension_bound(cls: HypothesisClass) -> int | None:
     return None
 
 
+def _to_doc(obj):
+    """Plain JSON values of a dataclass (its fields, in order), dict, list,
+    tuple, array or numpy scalar; any other value as it is."""
+    if is_dataclass(obj):
+        return {f.name: _to_doc(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _to_doc(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_doc(v) for v in obj]
+    return obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
+
+
+def _from_doc(cls, doc, where: str, nested: dict = {}):
+    """The dataclass ``cls`` from the same-named fields of ``doc``, unknown
+    keys ignored. A null or absent field takes its default, for a field in
+    ``nested`` that default document (also when empty). Fields typed as
+    arrays, tuples or dataclasses are read as such. One ValueError, led by
+    ``where``, names every missing required field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {doc!r}")
+    raw = {f.name: doc.get(f.name) for f in fields(cls)}
+    raw.update({name: sub_doc for name, sub_doc in nested.items() if not raw[name]})
+    missing = [f.name for f in fields(cls) if raw[f.name] is None
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{where}: missing required fields: {', '.join(missing)}")
+    kwargs = {}
+    for f in fields(cls):
+        value, types = raw[f.name], (f.type, *get_args(f.type))
+        if value is None:
+            continue
+        sub = next((t for t in types if is_dataclass(t)), None)
+        if sub is not None:
+            value = _from_doc(sub, value, f"{where}.{f.name}")
+        elif np.ndarray in types:
+            value = np.asarray(value, dtype=float)
+        elif tuple in types:
+            value = tuple(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+_CLASS_KINDS = {"finite": Finite, "truncated_linear": TruncatedLinear, "neural_net": NeuralNet}
+
+
 def class_to_json(cls: HypothesisClass) -> str:
-    """Serialize a class descriptor to a JSON document."""
-    if isinstance(cls, Finite):
-        doc = {"kind": "finite", "values": cls.values.tolist(), "B": cls.B}
-    elif isinstance(cls, TruncatedLinear):
-        doc = {
-            "kind": "truncated_linear",
-            "basis": cls.basis,
-            "dim": cls.dim,
-            "B": cls.B,
-            "coef_box": list(cls.coef_box) if cls.coef_box else None,
-            "grid": cls.grid.to_json() if cls.grid else None,
-            "degree": cls.degree,
-        }
-    elif isinstance(cls, NeuralNet):
-        doc = {
-            "kind": "neural_net",
-            "dim": cls.dim,
-            "units": cls.units,
-            "B": cls.B,
-            "mode": cls.mode,
-            "activation": cls.activation,
-            "grid": cls.grid.to_json() if cls.grid else None,
-        }
-    else:
+    """Serialize a class descriptor to a JSON document: its kind and fields."""
+    kind = next((k for k, t in _CLASS_KINDS.items() if isinstance(cls, t)), None)
+    if kind is None:
         raise TypeError(f"unsupported class type {type(cls).__name__}")
-    return json.dumps(doc)
+    return json.dumps({"kind": kind, **_to_doc(cls)})
 
 
 def class_from_json(doc: str | dict) -> HypothesisClass:
     """Inverse of class_to_json."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    kind = doc.get("kind")
-    if kind == "finite":
-        return Finite(values=np.asarray(doc["values"], dtype=float), B=doc.get("B", 0.0))
-    if kind == "truncated_linear":
-        return TruncatedLinear(
-            basis=doc["basis"],
-            dim=doc["dim"],
-            B=doc["B"],
-            coef_box=tuple(doc["coef_box"]) if doc.get("coef_box") else None,
-            grid=GridSpec.from_json(doc["grid"]) if doc.get("grid") else None,
-            degree=doc.get("degree"),
-        )
-    if kind == "neural_net":
-        return NeuralNet(
-            dim=doc["dim"],
-            units=doc["units"],
-            B=doc["B"],
-            mode=doc.get("mode", "joint"),
-            activation=doc.get("activation", "logistic"),
-            grid=GridSpec.from_json(doc["grid"]) if doc.get("grid") else None,
-        )
-    raise ValueError(f"unknown class kind {kind!r}")
+    doc = json.loads(doc) if isinstance(doc, str) else doc
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _CLASS_KINDS:
+        raise ValueError(f"class: field 'kind' must be one of {', '.join(_CLASS_KINDS)}, "
+                         f"got {kind!r}")
+    return _from_doc(_CLASS_KINDS[kind], doc, "class")

@@ -84,9 +84,9 @@ def beta_exact_discrete(joint: np.ndarray) -> float:
 def _check_stochastic(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("transition matrix must be square")
+        raise ValueError("field 'transition' must be a square matrix")
     if np.any(P < -1e-15) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("matrix is not row-stochastic")
+        raise ValueError("field 'transition' must be row-stochastic")
     return P
 
 
@@ -160,6 +160,13 @@ def choose_block_size(n: int, delta: float, rate_r: float) -> int:
         raise ValueError(f"delta must lie in (n r^-n, 1) = ({lo:.3g}, 1), got {delta}")
     m = math.ceil(math.log(n / delta) / math.log(rate_r))
     return max(m, 1)
+
+
+def _block_count(n: int, delta: float, rate_r: float) -> int:
+    """Block count m = ceil(log_r(2n/delta)) of the blocked Rademacher
+    interval and the blocked VC deviation term; each caller checks that it
+    is admissible."""
+    return math.ceil(math.log(2.0 * n / delta) / math.log(rate_r))
 
 
 @dataclass(frozen=True)

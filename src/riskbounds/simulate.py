@@ -25,12 +25,16 @@ from .hypothesis import (
     NeuralNet,
     SequentialSample,
     TruncatedLinear,
+    _from_doc,
+    _to_doc,
     class_from_json,
     evaluate_class,
     truncate,
     vc_dimension_bound,
 )
-from .mixing import block_indices, markov_beta_of_lag, sample_chain, stationary_distribution
+from .mixing import (
+    _block_count, block_indices, markov_beta_of_lag, sample_chain, stationary_distribution,
+)
 from .rademacher import _expected_max, massart_bound
 
 __all__ = [
@@ -245,70 +249,14 @@ class DataModel:
 
 
 def model_to_json(model: DataModel) -> dict:
-    cov = model.covariates
-    doc = {
-        "kind": model.kind,
-        "B": model.B,
-        "drift": list(model.drift) if model.drift else None,
-        "unbounded_response": model.unbounded_response,
-        "covariates": {
-            "kind": cov.kind,
-            "support": cov.support.tolist() if cov.support is not None else None,
-            "probs": cov.probs.tolist() if cov.probs is not None else None,
-            "probs_end": cov.probs_end.tolist() if cov.probs_end is not None else None,
-            "low": cov.low,
-            "high": cov.high,
-            "transition": cov.transition.tolist() if cov.transition is not None else None,
-        },
-        "mean": {
-            "kind": model.mean.kind,
-            "coeffs": model.mean.coeffs.tolist() if model.mean.coeffs is not None else None,
-            "values": model.mean.values.tolist() if model.mean.values is not None else None,
-        },
-        "noise": {
-            "kind": model.noise.kind,
-            "values": model.noise.values.tolist() if model.noise.values is not None else None,
-            "probs": model.noise.probs.tolist() if model.noise.probs is not None else None,
-            "half_width": model.noise.half_width,
-        },
-    }
-    return doc
+    """The model as a JSON document: its fields, in field order."""
+    return _to_doc(model)
 
 
 def model_from_json(doc: dict) -> DataModel:
-    cov = doc["covariates"]
-    mean = doc.get("mean") or {"kind": "affine", "coeffs": [0.0]}
-    noise = doc.get("noise") or {"kind": "none"}
-
-    def arr(x):
-        return None if x is None else np.asarray(x, dtype=float)
-
-    return DataModel(
-        kind=doc["kind"],
-        covariates=CovariateSpec(
-            kind=cov["kind"],
-            support=arr(cov.get("support")),
-            probs=arr(cov.get("probs")),
-            probs_end=arr(cov.get("probs_end")),
-            low=cov.get("low", 0.0),
-            high=cov.get("high", 1.0),
-            transition=arr(cov.get("transition")),
-        ),
-        mean=MeanSpec(
-            kind=mean.get("kind", "affine"),
-            coeffs=arr(mean.get("coeffs")),
-            values=arr(mean.get("values")),
-        ),
-        noise=NoiseSpec(
-            kind=noise.get("kind", "none"),
-            values=arr(noise.get("values")),
-            probs=arr(noise.get("probs")),
-            half_width=noise.get("half_width", 0.0),
-        ),
-        B=doc["B"],
-        drift=tuple(doc["drift"]) if doc.get("drift") else None,
-        unbounded_response=doc.get("unbounded_response", False),
-    )
+    """Inverse of model_to_json; a null, absent or empty mean is zero, noise none."""
+    defaults = {"mean": {"kind": "affine", "coeffs": [0.0]}, "noise": {"kind": "none"}}
+    return _from_doc(DataModel, doc, "model", defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +609,7 @@ def excess_risk_exact(predict: Callable, model: DataModel, n: int) -> float:
         phi = phi_grid(model, x, n)
         per_k = ((g[None, :] - phi) ** 2) @ weights / 2.0
         return float(np.mean(per_k))
-    atoms = cov.support
-    g = np.asarray(predict(atoms), dtype=float).ravel()
-    phi = phi_grid(model, atoms, n)
-    pmf = cov.pmf_per_index(n)
-    return float(np.mean(np.sum(pmf * (g[None, :] - phi) ** 2, axis=1)))
+    return float(risk_of_rows(predict(cov.support), model, n)[0])
 
 
 def risk_of_rows(rows_at_atoms: np.ndarray, model: DataModel, n: int) -> np.ndarray:
@@ -790,32 +734,7 @@ class CoverageReport:
             raise ValueError("failures cannot exceed trials")
 
     def to_json(self) -> dict:
-        doc = {
-            "trials": self.trials,
-            "failures": self.failures,
-            "delta": self.delta,
-            "bound_formula": self.bound_formula,
-            "empirical_coverage": self.empirical_coverage,
-            "binomial_se": self.binomial_se,
-            "base_seed": self.base_seed,
-            "bound_value": self.bound_value,
-            "details": _jsonable(self.details),
-        }
-        return doc
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+        return _to_doc(self)
 
 
 _TRIAL_CHUNK_BYTES = 1 << 24  # working memory of one chunk of coverage trials
@@ -1027,7 +946,7 @@ def _experiment_mixing_ci(config, model, n, delta):
     rate_r = float(config["rate_r"])
     pi = stationary_distribution(P)
 
-    m_hat = math.ceil(math.log(2.0 * n / delta) / math.log(rate_r))
+    m_hat = _block_count(n, delta, rate_r)
     beta = markov_beta_of_lag(P, pi, m_hat)
     if beta > rate_r ** (-float(m_hat)) + 1e-15:
         raise ValueError(

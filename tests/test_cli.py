@@ -602,8 +602,10 @@ class TestMixingDemoCommand:
 
     @pytest.mark.parametrize(
         "transition",
-        [5, "abc", [[0.5, 0.5], [0.5]], [], [0.5, 0.5], [[0.5, 0.5]], [[0.5, "x"], [0.5, 0.5]]],
-        ids=["scalar", "string", "ragged", "empty", "flat", "not-square", "non-number"],
+        [5, "abc", [[0.5, 0.5], [0.5]], [], [0.5, 0.5], [[0.5, 0.5]], [[0.5, "x"], [0.5, 0.5]],
+         [[0.5]], [[0.6, 0.5], [0.5, 0.5]]],
+        ids=["scalar", "string", "ragged", "empty", "flat", "not-square", "non-number",
+             "sub-stochastic", "row-sum-1.1"],
     )
     def test_malformed_transition_is_named(self, tmp_path, capsys, transition):
         params = dict(self.PARAMS, transition=transition)
@@ -677,6 +679,41 @@ class TestCoverageCommand:
         code, _, err = run(tmp_path, capsys, "coverage", params)
         assert code == 2
         assert "trials" in err
+
+    @pytest.mark.parametrize("field,text", [
+        ("n", '"n": 1e400'),
+        ("trials", '"trials": 150.7'),
+        ("trials", '"trials": "abc"'),
+        ("delta", '"delta": true'),
+        ("base_seed", '"base_seed": 0.5'),
+        ("bound", '"bound": null'),
+    ], ids=["n-overflow", "trials-fraction", "trials-string", "delta-bool", "seed-fraction",
+            "bound-missing"])
+    def test_top_level_field_is_named(self, tmp_path, capsys, field, text):
+        code, out, err = run_text(tmp_path, capsys, "coverage",
+                                  json.dumps(COVERAGE_PARAMS)[:-1] + f", {text}}}")
+        assert code == 2
+        assert out == ""
+        assert f"field {field!r}" in err
+
+    @pytest.mark.parametrize("where,drop,bound", [
+        ("model", ("kind", "B"), "rademacher_ci"),
+        ("model.covariates", ("kind",), "rademacher_ci"),
+        ("class", ("dim",), "nn_generalization_ci"),
+    ], ids=["model", "covariates", "class"])
+    def test_missing_document_fields_are_all_named(self, tmp_path, capsys, where, drop, bound):
+        params = json.loads(json.dumps(COVERAGE_PARAMS))
+        params["bound"] = bound
+        params["class"] = {"kind": "neural_net", "dim": 1, "units": 2, "B": 1.0}
+        doc = params
+        for key in where.split("."):
+            doc = doc[key]
+        for key in drop:
+            del doc[key]
+        code, out, err = run(tmp_path, capsys, "coverage", params)
+        assert code == 2
+        assert out == ""
+        assert f"{where}: missing required fields: {', '.join(drop)}" in err
 
     def test_network_report_is_strict_json_without_truth(self, tmp_path, capsys, monkeypatch):
         import riskbounds.simulate as sim

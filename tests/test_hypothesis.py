@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from riskbounds.hypothesis import (
     NeuralNet,
     SequentialSample,
     TruncatedLinear,
+    _to_doc,
     class_from_json,
     class_to_json,
     evaluate_class,
@@ -253,31 +256,32 @@ class TestVCDimensionBound:
         assert vc_dimension_bound(NeuralNet(dim=1, units=1, B=1.0)) is None
 
 
+SERIALIZED_CLASSES = [
+    Finite(values=np.array([[0.5, -0.5], [1.0, 0.0]])),
+    TruncatedLinear(
+        basis="affine",
+        dim=1,
+        B=2.0,
+        coef_box=(-1.0, 1.0),
+        grid=GridSpec(axes=(np.array([0.0, 1.0]), np.array([-1.0, 1.0]))),
+    ),
+    NeuralNet(
+        dim=1,
+        units=1,
+        B=1.0,
+        mode="joint",
+        grid=GridSpec(points=np.array([[1.0, 0.0, 0.2, 0.3]])),
+    ),
+]
+
+
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "cls",
-        [
-            Finite(values=np.array([[0.5, -0.5], [1.0, 0.0]])),
-            TruncatedLinear(
-                basis="affine",
-                dim=1,
-                B=2.0,
-                coef_box=(-1.0, 1.0),
-                grid=GridSpec(axes=(np.array([0.0, 1.0]), np.array([-1.0, 1.0]))),
-            ),
-            NeuralNet(
-                dim=1,
-                units=1,
-                B=1.0,
-                mode="joint",
-                grid=GridSpec(points=np.array([[1.0, 0.0, 0.2, 0.3]])),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("cls", SERIALIZED_CLASSES)
     def test_roundtrip_preserves_tables(self, cls):
         doc = class_to_json(cls)
         assert isinstance(json.loads(doc), dict)
         cls2 = class_from_json(doc)
+        assert _to_doc(cls2) == _to_doc(cls)
         sample = SequentialSample(points=np.array([[0.1], [0.7]]))
         t1 = evaluate_class(cls, sample)
         t2 = evaluate_class(cls2, sample)
@@ -286,3 +290,157 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             class_from_json({"kind": "mystery"})
+        with pytest.raises(ValueError, match="field 'kind'"):
+            class_from_json({"dim": 1, "units": 1, "B": 1.0})
+
+    def test_every_missing_field_is_named(self):
+        with pytest.raises(ValueError, match="^class: missing required fields: dim, B$"):
+            class_from_json({"kind": "neural_net", "units": 2, "mode": "joint"})
+        with pytest.raises(ValueError, match=r"^class\.grid: expected a JSON object"):
+            class_from_json({"kind": "neural_net", "dim": 1, "units": 2, "B": 1.0, "grid": [1]})
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: the field-driven codec against the hand-written one it
+# replaced, kept here as a private reference
+
+
+def _ref_grid_to_json(grid):
+    if grid.points is not None:
+        return {"points": np.asarray(grid.points, dtype=float).tolist()}
+    return {"axes": [np.asarray(a, dtype=float).tolist() for a in grid.axes]}
+
+
+def _ref_grid_from_json(doc):
+    if "points" in doc and doc["points"] is not None:
+        return GridSpec(points=np.asarray(doc["points"], dtype=float))
+    return GridSpec(axes=tuple(np.asarray(a, dtype=float) for a in doc["axes"]))
+
+
+def _ref_class_to_json(cls):
+    if isinstance(cls, Finite):
+        doc = {"kind": "finite", "values": cls.values.tolist(), "B": cls.B}
+    elif isinstance(cls, TruncatedLinear):
+        doc = {
+            "kind": "truncated_linear",
+            "basis": cls.basis,
+            "dim": cls.dim,
+            "B": cls.B,
+            "coef_box": list(cls.coef_box) if cls.coef_box else None,
+            "grid": _ref_grid_to_json(cls.grid) if cls.grid else None,
+            "degree": cls.degree,
+        }
+    else:
+        doc = {
+            "kind": "neural_net",
+            "dim": cls.dim,
+            "units": cls.units,
+            "B": cls.B,
+            "mode": cls.mode,
+            "activation": cls.activation,
+            "grid": _ref_grid_to_json(cls.grid) if cls.grid else None,
+        }
+    return json.dumps(doc)
+
+
+def _ref_class_from_json(doc):
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    kind = doc.get("kind")
+    if kind == "finite":
+        return Finite(values=np.asarray(doc["values"], dtype=float), B=doc.get("B", 0.0))
+    if kind == "truncated_linear":
+        return TruncatedLinear(
+            basis=doc["basis"],
+            dim=doc["dim"],
+            B=doc["B"],
+            coef_box=tuple(doc["coef_box"]) if doc.get("coef_box") else None,
+            grid=_ref_grid_from_json(doc["grid"]) if doc.get("grid") else None,
+            degree=doc.get("degree"),
+        )
+    return NeuralNet(
+        dim=doc["dim"],
+        units=doc["units"],
+        B=doc["B"],
+        mode=doc.get("mode", "joint"),
+        activation=doc.get("activation", "logistic"),
+        grid=_ref_grid_from_json(doc["grid"]) if doc.get("grid") else None,
+    )
+
+
+def _document_classes():
+    """Every class document of the bench requests and of the test modules;
+    the tests' class objects enter through the reference encoder."""
+    import test_acceptance
+    import test_projected_gd
+
+    requests = Path(__file__).resolve().parents[1] / "bench" / "requests"
+    docs = {p.stem: json.loads(p.read_text()).get("class") for p in sorted(requests.glob("*.json"))}
+    docs = {f"bench-{name}": doc for name, doc in docs.items() if doc is not None}
+    docs["cli-network"] = {"kind": "neural_net", "dim": 1, "units": 2, "B": 1.0}
+    objects = {
+        "acceptance-linear-grid": test_acceptance.LINEAR_GRID_CLASS,
+        "projected-gd-network": test_projected_gd.nn_config()["class"],
+        "monomial-points": TruncatedLinear(basis="monomial", dim=1, B=1.5, degree=2,
+                                           grid=GridSpec(points=np.array([[0.1, -0.4, 1.0]]))),
+        "independent-network": NeuralNet(dim=2, units=2, B=1.0, mode="independent"),
+    }
+    objects.update({f"serialization-{i}": cls for i, cls in enumerate(SERIALIZED_CLASSES)})
+    docs.update({name: json.loads(_ref_class_to_json(cls)) for name, cls in objects.items()})
+    return docs
+
+
+DOCUMENT_CLASSES = _document_classes()
+
+
+def field_types(obj):
+    """The type of every field of a dataclass, nested dataclasses included."""
+    return {f.name: field_types(v) if is_dataclass(v) else type(v)
+            for f in fields(obj) for v in [getattr(obj, f.name)]}
+
+
+def _table_of(cls):
+    """The class's table on a fixed sample; a network without a grid gets one
+    inside its constraint set."""
+    if isinstance(cls, Finite):
+        n = cls.values.shape[1] if cls.values.ndim == 2 else 3
+        return evaluate_class(cls, SequentialSample(points=np.zeros((n, 1))))
+    points = np.linspace(-1.0, 1.0, 7 * cls.dim).reshape(7, cls.dim)
+    grid = None
+    if isinstance(cls, NeuralNet) and cls.grid is None:
+        c = np.full(cls.units + 1, cls.B / (2 * (cls.units + 1)))
+        grid = GridSpec(points=np.concatenate([np.linspace(-1.0, 1.0, cls.units * (cls.dim + 1)), c]))
+    return evaluate_class(cls, SequentialSample(points=points), grid)
+
+
+class TestClassDocuments:
+    @pytest.mark.parametrize("name", sorted(DOCUMENT_CLASSES))
+    def test_decoder_matches_reference(self, name):
+        doc = DOCUMENT_CLASSES[name]
+        got, want = class_from_json(doc), _ref_class_from_json(doc)
+        assert type(got) is type(want)
+        assert _to_doc(got) == _to_doc(want)
+        assert field_types(got) == field_types(want)
+        assert _table_of(got).values.tobytes() == _table_of(want).values.tobytes()
+        # the encoders differ only in the grid's unused key, now written as null
+        new, ref = json.loads(class_to_json(got)), json.loads(_ref_class_to_json(want))
+        if new.get("grid") is not None:
+            new["grid"] = {k: v for k, v in new["grid"].items() if v is not None}
+        assert new == ref
+
+    def test_to_doc_gives_plain_values(self):
+        doc = _to_doc({"a": np.int64(3), "b": (np.float32(0.5), np.bool_(True)), "c": None,
+                       "d": np.arange(2)})
+        assert doc == {"a": 3, "b": [0.5, True], "c": None, "d": [0, 1]}
+        assert [type(v) for v in (doc["a"], *doc["b"], *doc["d"])] == [int, float, bool, int, int]
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(axes=(np.array([0.0, 0.5]), np.array([1.0]))),
+        GridSpec(points=np.array([[1.0, 2.0], [3.0, -1.0]])),
+    ], ids=["axes", "points"])
+    def test_grid_document(self, grid):
+        doc = grid.to_json()
+        assert list(doc) == ["axes", "points"]
+        assert {k: v for k, v in doc.items() if v is not None} == _ref_grid_to_json(grid)
+        back = GridSpec.from_json(json.loads(json.dumps(doc)))
+        assert back.resolve().tobytes() == _ref_grid_from_json(doc).resolve().tobytes()

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from riskbounds.hypothesis import (
     NeuralNet,
     SequentialSample,
     TruncatedLinear,
+    _to_doc,
 )
 from riskbounds.rademacher import rademacher_exact
 from riskbounds.hypothesis import FunctionTable
@@ -36,6 +40,7 @@ from riskbounds.simulate import (
     response_tail_term,
     risk_of_rows,
 )
+from test_hypothesis import field_types
 
 
 def iid_two_atom(mean_values=(0.0, 1.0), noise=None, B=1.0, probs=(0.5, 0.5)):
@@ -719,3 +724,213 @@ class TestCoverageExperiments:
                 trials=10, failures=11, delta=0.1, bound_formula="x",
                 empirical_coverage=0.0, binomial_se=0.0, base_seed=0,
             )
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: the field-driven codec against the hand-written one it
+# replaced, kept here as a private reference
+
+
+def _ref_model_to_json(model):
+    cov = model.covariates
+    return {
+        "kind": model.kind,
+        "B": model.B,
+        "drift": list(model.drift) if model.drift else None,
+        "unbounded_response": model.unbounded_response,
+        "covariates": {
+            "kind": cov.kind,
+            "support": cov.support.tolist() if cov.support is not None else None,
+            "probs": cov.probs.tolist() if cov.probs is not None else None,
+            "probs_end": cov.probs_end.tolist() if cov.probs_end is not None else None,
+            "low": cov.low,
+            "high": cov.high,
+            "transition": cov.transition.tolist() if cov.transition is not None else None,
+        },
+        "mean": {
+            "kind": model.mean.kind,
+            "coeffs": model.mean.coeffs.tolist() if model.mean.coeffs is not None else None,
+            "values": model.mean.values.tolist() if model.mean.values is not None else None,
+        },
+        "noise": {
+            "kind": model.noise.kind,
+            "values": model.noise.values.tolist() if model.noise.values is not None else None,
+            "probs": model.noise.probs.tolist() if model.noise.probs is not None else None,
+            "half_width": model.noise.half_width,
+        },
+    }
+
+
+def _ref_model_from_json(doc):
+    cov = doc["covariates"]
+    mean = doc.get("mean") or {"kind": "affine", "coeffs": [0.0]}
+    noise = doc.get("noise") or {"kind": "none"}
+
+    def arr(x):
+        return None if x is None else np.asarray(x, dtype=float)
+
+    return DataModel(
+        kind=doc["kind"],
+        covariates=CovariateSpec(
+            kind=cov["kind"],
+            support=arr(cov.get("support")),
+            probs=arr(cov.get("probs")),
+            probs_end=arr(cov.get("probs_end")),
+            low=cov.get("low", 0.0),
+            high=cov.get("high", 1.0),
+            transition=arr(cov.get("transition")),
+        ),
+        mean=MeanSpec(
+            kind=mean.get("kind", "affine"),
+            coeffs=arr(mean.get("coeffs")),
+            values=arr(mean.get("values")),
+        ),
+        noise=NoiseSpec(
+            kind=noise.get("kind", "none"),
+            values=arr(noise.get("values")),
+            probs=arr(noise.get("probs")),
+            half_width=noise.get("half_width", 0.0),
+        ),
+        B=doc["B"],
+        drift=tuple(doc["drift"]) if doc.get("drift") else None,
+        unbounded_response=doc.get("unbounded_response", False),
+    )
+
+
+def _ref_jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _ref_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    return obj
+
+
+def _ref_report_to_json(report):
+    return {
+        "trials": report.trials,
+        "failures": report.failures,
+        "delta": report.delta,
+        "bound_formula": report.bound_formula,
+        "empirical_coverage": report.empirical_coverage,
+        "binomial_se": report.binomial_se,
+        "base_seed": report.base_seed,
+        "bound_value": report.bound_value,
+        "details": _ref_jsonable(report.details),
+    }
+
+
+def _document_models():
+    """Every model document of the bench requests and of the test modules."""
+    import test_acceptance
+    import test_cli
+    import test_projected_gd
+    import test_sampler
+
+    requests = Path(__file__).resolve().parents[1] / "bench" / "requests"
+    docs = {p.stem: json.loads(p.read_text()).get("model") for p in sorted(requests.glob("*.json"))}
+    docs = {f"bench-{name}": doc for name, doc in docs.items() if doc is not None}
+    for name, doc in test_sampler.MODELS.items():
+        for noise, noise_doc in test_sampler.NOISE.items():
+            docs[f"sampler-{name}-{noise}"] = {**doc, "noise": noise_doc}
+    for name in ("IID_MODEL", "DRIFTING_MODEL", "MARKOV_MODEL", "REGRESSION_MODEL"):
+        docs[f"acceptance-{name}"] = getattr(test_acceptance, name)
+    docs["cli-coverage"] = test_cli.COVERAGE_PARAMS["model"]
+    docs["projected-gd-rad"] = test_projected_gd.RAD_CONFIG["model"]
+    docs["projected-gd-nn"] = test_projected_gd.nn_config()["model"]
+    docs["simulate-rad"] = BASE_RAD_CONFIG["model"]
+    return docs
+
+
+DOCUMENT_MODELS = _document_models()
+
+
+def _assert_same_samples(a, b, n=40):
+    seed = np.random.SeedSequence([3, 1])
+    (sample_a, states_a), (sample_b, states_b) = (generate_with_states(m, n, seed) for m in (a, b))
+    assert sample_a.points.tobytes() == sample_b.points.tobytes()
+    assert sample_a.responses.tobytes() == sample_b.responses.tobytes()
+    assert (states_a is None) == (states_b is None)
+    assert states_a is None or states_a.tobytes() == states_b.tobytes()
+
+
+class TestModelDocuments:
+    @pytest.mark.parametrize("name", sorted(DOCUMENT_MODELS))
+    def test_decoder_matches_reference(self, name):
+        doc = DOCUMENT_MODELS[name]
+        got, want = model_from_json(doc), _ref_model_from_json(doc)
+        assert _to_doc(got) == _to_doc(want)
+        assert field_types(got) == field_types(want)
+        _assert_same_samples(got, want)
+        # the encoders differ only in key order
+        assert model_to_json(got) == _ref_model_to_json(want)
+        assert list(model_to_json(got)) == [f.name for f in dataclasses.fields(DataModel)]
+
+    @pytest.mark.parametrize("model", [
+        DataModel(kind="iid", B=2.0,
+                  covariates=CovariateSpec(kind="uniform", low=-1.0, high=3.0),
+                  mean=MeanSpec(kind="affine", coeffs=np.array([0.1, 0.4])),
+                  noise=NoiseSpec(kind="uniform", half_width=0.3)),
+        DataModel(kind="nonstationary_independent", B=1.0, drift=(-0.25, 0.5),
+                  covariates=CovariateSpec(kind="discrete", support=np.array([0.0, 0.5, 1.0]),
+                                           probs=np.array([0.5, 0.3, 0.2]),
+                                           probs_end=np.array([0.1, 0.1, 0.8])),
+                  mean=MeanSpec(kind="affine", coeffs=np.array([0.0, 0.7])),
+                  noise=NoiseSpec(kind="discrete", values=np.array([0.2, -0.2]),
+                                  probs=np.array([0.5, 0.5]))),
+        DataModel(kind="markov_chain", B=1.0, unbounded_response=True,
+                  covariates=CovariateSpec(kind="markov", support=np.array([[0.0], [1.0]]),
+                                           transition=np.array([[0.8, 0.2], [0.3, 0.7]])),
+                  mean=MeanSpec(kind="atom_table", values=np.array([-0.4, 0.9])),
+                  noise=NoiseSpec(kind="none")),
+    ], ids=["uniform-uniform-noise", "drift-probs-end-discrete-noise", "markov-atom-table"])
+    def test_roundtrip_each_kind(self, model):
+        doc = json.loads(json.dumps(model_to_json(model), allow_nan=False))
+        back = model_from_json(doc)
+        assert _to_doc(back) == _to_doc(model)
+        assert field_types(back) == field_types(model)
+        _assert_same_samples(back, model)
+
+    def test_null_or_absent_fields_take_defaults(self):
+        doc = {"kind": "iid", "B": 1.0, "drift": None, "mean": {}, "noise": None,
+               "covariates": {"kind": "uniform", "low": None, "high": 2.0}}
+        want = _ref_model_from_json({"kind": "iid", "B": 1.0,
+                                     "covariates": {"kind": "uniform", "high": 2.0}})
+        assert _to_doc(model_from_json(doc)) == _to_doc(want)
+
+    def test_every_missing_field_is_named(self):
+        with pytest.raises(ValueError, match="^model: missing required fields: kind, B$"):
+            model_from_json({"covariates": {"kind": "uniform"}, "extra": 1})
+        with pytest.raises(ValueError, match=r"^model\.covariates: missing required fields: kind$"):
+            model_from_json({"kind": "iid", "B": 1.0, "covariates": {"low": 0.0}})
+
+
+class TestReportDocument:
+    @pytest.mark.parametrize("bound", ["rademacher_ci", "mixing_rademacher_ci",
+                                       "bounded_class_ci", "nn_generalization_ci"])
+    def test_encoder_matches_reference(self, bound, monkeypatch):
+        import riskbounds.simulate as sim
+
+        monkeypatch.setattr(sim, "GD_ITERATIONS", 20)
+        configs = {
+            "rademacher_ci": dict(BASE_RAD_CONFIG),
+            "mixing_rademacher_ci": dict(
+                BASE_RAD_CONFIG, bound=bound, model=DOCUMENT_MODELS["acceptance-MARKOV_MODEL"],
+                rate_r=1.25, n=120),
+            "bounded_class_ci": dict(
+                BASE_RAD_CONFIG, bound=bound, c=2.0, lam=2.0, n=60,
+                model=DOCUMENT_MODELS["acceptance-REGRESSION_MODEL"],
+                **{"class": TruncatedLinear(basis="affine", dim=1, B=1.0, grid=GridSpec(
+                    axes=(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))))}),
+            "nn_generalization_ci": dict(
+                BASE_RAD_CONFIG, bound=bound, truth_params=[0.0] * 4,
+                **{"class": NeuralNet(dim=1, units=1, B=1.0)}),
+        }
+        report = coverage_experiment(configs[bound])
+        got = json.dumps(report.to_json(), allow_nan=False)
+        assert got == json.dumps(_ref_report_to_json(report), allow_nan=False)
