@@ -30,7 +30,7 @@ from .covering import (
     nn_entropy,
     vc_entropy,
 )
-from .hypothesis import FunctionTable
+from .hypothesis import FunctionTable, _need, _num
 from .mixing import (
     block_indices,
     blocked_deviation_bound,
@@ -47,25 +47,6 @@ __all__ = ["main"]
 
 # ---------------------------------------------------------------------------
 # parameter document helpers
-
-
-def _need(doc: dict, name: str, where: str):
-    if name not in doc or doc[name] is None:
-        raise ValueError(f"{where}: missing required field {name!r}")
-    return doc[name]
-
-
-def _num(doc: dict, name: str, where: str, default=None, required=True):
-    if name not in doc or doc[name] is None:
-        if required and default is None:
-            raise ValueError(f"{where}: missing required field {name!r}")
-        return default
-    v = doc[name]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{where}: field {name!r} must be a number, got {v!r}")
-    if (isinstance(v, int) and abs(v) > sys.float_info.max) or not math.isfinite(v):
-        raise ValueError(f"{where}: field {name!r} must be finite and within the float range")
-    return float(v)
 
 
 def _nums(doc: dict, name: str, where: str, default=None):

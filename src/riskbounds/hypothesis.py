@@ -8,6 +8,9 @@ covering computations consume these tables.
 """
 
 import json
+import math
+import numbers
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args
 
@@ -389,6 +392,25 @@ def vc_dimension_bound(cls: HypothesisClass) -> int | None:
     return None
 
 
+def _need(doc: dict, name: str, where: str):
+    if name not in doc or doc[name] is None:
+        raise ValueError(f"{where}: missing required field {name!r}")
+    return doc[name]
+
+
+def _num(doc: dict, name: str, where: str, default=None, required=True):
+    if name not in doc or doc[name] is None:
+        if required and default is None:
+            raise ValueError(f"{where}: missing required field {name!r}")
+        return default
+    v = doc[name]
+    if isinstance(v, bool) or not isinstance(v, (int, float, numbers.Real)):  # numpy's too
+        raise ValueError(f"{where}: field {name!r} must be a number, got {v!r}")
+    if (isinstance(v, int) and abs(v) > sys.float_info.max) or not math.isfinite(v):
+        raise ValueError(f"{where}: field {name!r} must be finite and within the float range")
+    return float(v)
+
+
 def _to_doc(obj):
     """Plain JSON values of a dataclass (its fields, in order), dict, list,
     tuple, array or numpy scalar; any other value as it is."""
@@ -444,7 +466,11 @@ def class_to_json(cls: HypothesisClass) -> str:
 
 def class_from_json(doc: str | dict) -> HypothesisClass:
     """Inverse of class_to_json."""
-    doc = json.loads(doc) if isinstance(doc, str) else doc
+    if isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"class: not a JSON document: {exc}") from None
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _CLASS_KINDS:
         raise ValueError(f"class: field 'kind' must be one of {', '.join(_CLASS_KINDS)}, "

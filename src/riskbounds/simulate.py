@@ -26,6 +26,8 @@ from .hypothesis import (
     SequentialSample,
     TruncatedLinear,
     _from_doc,
+    _need,
+    _num,
     _to_doc,
     class_from_json,
     evaluate_class,
@@ -65,6 +67,24 @@ _ENUM_LIMIT = 1 << 21  # cap on (2s)^n partial-state count for exact averages
 # data model definitions
 
 
+def _array_field(value, name: str, owner: str) -> np.ndarray:
+    """Field ``name`` of ``owner`` as a flat float array; refused when absent."""
+    if value is None:
+        raise ValueError(f"{owner} needs field {name!r}")
+    return np.asarray(value, dtype=float).ravel()
+
+
+def _distribution(value, name: str, owner: str, size: int | None = None) -> np.ndarray:
+    """Field ``name`` of ``owner`` as a pmf: nonnegative entries summing to 1,
+    ``size`` of them when given."""
+    p = _array_field(value, name, owner)
+    if (p.size == 0 or size not in (None, p.size)
+            or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9)):
+        over = "" if size is None else f" over the {size} support atoms"
+        raise ValueError(f"{owner}: field {name!r} must be a distribution{over}")
+    return p
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive noise: none, finite symmetric-support atoms, or uniform."""
@@ -78,12 +98,10 @@ class NoiseSpec:
         if self.kind not in ("none", "discrete", "uniform"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "discrete":
-            v = np.asarray(self.values, dtype=float).ravel()
-            p = np.asarray(self.probs, dtype=float).ravel()
-            if v.size == 0 or v.shape != p.shape:
+            v = _array_field(self.values, "values", "discrete noise")
+            p = _distribution(self.probs, "probs", "discrete noise")
+            if v.shape != p.shape:
                 raise ValueError("discrete noise needs matching values/probs")
-            if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-                raise ValueError("noise probs must form a distribution")
             object.__setattr__(self, "values", v)
             object.__setattr__(self, "probs", p)
         if self.kind == "uniform" and self.half_width <= 0:
@@ -127,14 +145,10 @@ class CovariateSpec:
         object.__setattr__(self, "support", sup)
         s = len(sup)
         if self.kind == "discrete":
-            p = np.asarray(self.probs, dtype=float).ravel()
-            if p.shape != (s,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-                raise ValueError("probs must be a distribution over the support")
-            object.__setattr__(self, "probs", p)
+            owner = "discrete covariates"
+            object.__setattr__(self, "probs", _distribution(self.probs, "probs", owner, s))
             if self.probs_end is not None:
-                q = np.asarray(self.probs_end, dtype=float).ravel()
-                if q.shape != (s,) or np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
-                    raise ValueError("probs_end must be a distribution over the support")
+                q = _distribution(self.probs_end, "probs_end", owner, s)
                 object.__setattr__(self, "probs_end", q)
         else:  # markov
             P = np.asarray(self.transition, dtype=float)
@@ -173,12 +187,12 @@ class MeanSpec:
         if self.kind not in ("affine", "atom_table"):
             raise ValueError(f"unknown mean kind {self.kind!r}")
         if self.kind == "affine":
-            c = np.asarray(self.coeffs, dtype=float).ravel()
+            c = _array_field(self.coeffs, "coeffs", "affine mean")
             if c.size < 1:
                 raise ValueError("affine mean needs coeffs [a0, a1, ..]")
             object.__setattr__(self, "coeffs", c)
         else:
-            v = np.asarray(self.values, dtype=float).ravel()
+            v = _array_field(self.values, "values", "atom_table mean")
             if v.size < 1:
                 raise ValueError("atom_table mean needs one value per atom")
             object.__setattr__(self, "values", v)
@@ -741,7 +755,7 @@ _TRIAL_CHUNK_BYTES = 1 << 24  # working memory of one chunk of coverage trials
 
 
 def _run_trials(
-    name, model, n, delta, trials, base_seed, bound, statistic, details, work_floats=0
+    name, model, n, delta, trials, base_seed, bound, statistic, details, work_floats
 ) -> CoverageReport:
     """The coverage-trial engine shared by every experiment.
 
@@ -815,7 +829,7 @@ def coverage_experiment(config: dict) -> CoverageReport:
     n = int(config["n"])
     delta = float(config["delta"])
     base_seed = int(config.get("base_seed", 0))
-    # each returns the bound, statistic, details [, work floats] of _run_trials
+    # each returns the bound, statistic, details and work floats of _run_trials
     experiments = {
         "rademacher_ci": _experiment_rademacher_ci,
         "bounded_class_ci": _experiment_bounded_class_ci,
@@ -829,17 +843,75 @@ def coverage_experiment(config: dict) -> CoverageReport:
 
 
 def _class_values_from_config(config) -> np.ndarray:
-    vals = np.atleast_2d(np.asarray(config["values"], dtype=float))
-    if vals.size == 0:
-        raise ValueError("experiment needs a nonempty finite-class table")
+    raw = _need(config, "values", "coverage")
+    try:
+        vals = np.atleast_2d(np.asarray(raw, dtype=float))
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.ndim != 2 or vals.size == 0 or not np.all(np.isfinite(vals)):
+        raise ValueError("coverage: field 'values' must be a nonempty table of finite "
+                         f"numbers, one row per function, got {raw!r}")
     return vals
+
+
+_TIE_MARGIN = 4.0  # count-form gaps at or below this many e take the per-point sum
+
+
+def _erm_rows(vals: np.ndarray, states: np.ndarray, targets=None, B: float = 0.0) -> np.ndarray:
+    """Per trial of a chunk, the row of the finite table ``vals`` (m, s atoms)
+    that minimizes the trial's empirical sum, ties to the lowest row.
+
+    The sum is ``vals[:, s].sum(1)`` over the trial's atom indices s, or with
+    ``targets`` (truncated responses, |y| <= B) the squared loss
+    ``((vals[:, s] - y) ** 2).sum(1)``.  The kernel forms it from each
+    trial's atom counts cnt and per-atom target sums ysum, two
+    ``np.bincount`` calls over the chunk: ``cnt @ vals.T``, or
+    ``cnt @ (vals**2).T - 2 ysum @ vals.T`` (the sum of y^2 is the same for
+    every row and is left out).  This adds in another order than the
+    per-point sum.  By the summation bound gamma_k * sum|terms|, with
+    gamma_k = k u / (1 - k u), u = 2^-53, k = n + s + 3 (at least the
+    roundings on any term's path in either form) and M = max(max|vals|, B),
+    each form's row sums lie within
+
+        e = gamma_k * n * M          (linear sum; sum|terms| <= n M),
+        e = gamma_k * 4 * n * M**2   (squared loss; <= 4 n M^2 per point,
+                                      <= 3 n M^2 by counts)
+
+    of the exact ones.  So when a trial's best count-form sum is more than 2e
+    below its second best, the per-point sum has the same unique argmin.
+    A trial whose gap is at most ``_TIE_MARGIN`` * e = 4e, exact ties and
+    non-finite sums included, takes its row from the per-point sum itself.
+    Returns the (T,) row indices; holds one (T, n) index array beside the
+    chunk.
+    """
+    T, n = states.shape
+    m, s = vals.shape
+    flat = (states + s * np.arange(T)[:, None]).ravel()  # (trial, atom) bins
+    cnt = np.bincount(flat, minlength=T * s).reshape(T, s).astype(float)
+    M = max(float(np.max(np.abs(vals))), B)
+    if targets is None:
+        sums, terms = cnt @ vals.T, n * M
+    else:
+        ysum = np.bincount(flat, weights=targets.ravel(), minlength=T * s).reshape(T, s)
+        sums, terms = cnt @ (vals**2).T - 2.0 * (ysum @ vals.T), 4.0 * n * M * M
+    k = n + s + 3
+    e = k * 2.0**-53 / (1.0 - k * 2.0**-53) * terms
+    rows = np.argmin(sums, axis=1)
+    if m > 1:
+        two = np.partition(sums, 1, axis=1)
+        for t in np.flatnonzero(~(two[:, 1] - two[:, 0] > _TIE_MARGIN * e)):
+            table = vals[:, states[t]]
+            if targets is not None:
+                table = (table - targets[t][None, :]) ** 2
+            rows[t] = np.argmin(np.sum(table, axis=1))
+    return rows
 
 
 def _excess_statistic(vals: np.ndarray, pop: np.ndarray):
     """Per-trial excess population sum ``pop`` of the empirical-sum minimizer
     over a finite table of atom values (ties to the lowest row)."""
     best = pop[int(np.argmin(pop))]
-    return lambda _x, _y, states, ts: [pop[np.argmin(vals[:, s].sum(1))] - best for s in states]
+    return lambda _x, _y, states, ts: pop[_erm_rows(vals, states)] - best
 
 
 def _experiment_rademacher_ci(config, model, n, delta):
@@ -874,7 +946,7 @@ def _experiment_rademacher_ci(config, model, n, delta):
         "rad_ave": rad_ave,
         "envelope_l2_sup": env_l2_sup,
         "max_excess": float(np.max(excess)),
-    }
+    }, 1  # per sample point: the kernel's bin index
 
 
 def _experiment_bounded_class_ci(config, model, n, delta):
@@ -886,7 +958,7 @@ def _experiment_bounded_class_ci(config, model, n, delta):
     """
     if model.covariates.kind != "discrete":
         raise ValueError("bounded_class_ci experiment needs discrete covariates")
-    cls = config["class"]
+    cls = _need(config, "class", "coverage")
     if isinstance(cls, (str, dict)):
         cls = class_from_json(cls)
     if not isinstance(cls, TruncatedLinear):
@@ -898,7 +970,7 @@ def _experiment_bounded_class_ci(config, model, n, delta):
         consts = bv.optimize_v()
         c, lam = consts.c0, consts.lambda0
     else:
-        c, lam = float(config["c"]), float(config["lam"])
+        c, lam = _num(config, "c", "coverage"), _num(config, "lam", "coverage")
     params = bv.BoundParams(n=n, B=cls.B, delta=delta, c=c, lam=lam)
 
     atoms = model.covariates.support
@@ -912,11 +984,7 @@ def _experiment_bounded_class_ci(config, model, n, delta):
     bound = bv.bounded_class_ci(params, inf_risk, log_a)
 
     def realized_risk(_x, responses, states, ts):  # exact grid ERM on each trial's sample
-        out = []
-        for y, s in zip(responses, states):
-            emp = np.sum((table.values[:, s] - truncate(y, cls.B)[None, :]) ** 2, axis=1)
-            out.append(risks[np.argmin(emp)])
-        return out
+        return risks[_erm_rows(table.values, states, truncate(responses, cls.B), cls.B)]
 
     return bound, realized_risk, lambda realized: {
         "c": c,
@@ -924,7 +992,7 @@ def _experiment_bounded_class_ci(config, model, n, delta):
         "inf_risk": inf_risk,
         "log_a": log_a,
         "max_risk": float(np.max(realized)),
-    }
+    }, 2  # per sample point: the truncated response and the kernel's bin index
 
 
 _BLOCK_ENUM_MAX = 10
@@ -943,7 +1011,7 @@ def _experiment_mixing_ci(config, model, n, delta):
     P = model.covariates.transition
     if vals.shape[1] != P.shape[0]:
         raise ValueError("class table columns must match the state count")
-    rate_r = float(config["rate_r"])
+    rate_r = _num(config, "rate_r", "coverage")
     pi = stationary_distribution(P)
 
     m_hat = _block_count(n, delta, rate_r)
@@ -976,7 +1044,7 @@ def _experiment_mixing_ci(config, model, n, delta):
         "max_block_env": env_max,
         "max_block_rad": rad_max,
         "max_excess": float(np.max(excess)),
-    }
+    }, 1  # per sample point: the kernel's bin index
 
 
 def _experiment_nn_ci(config, model, n, delta):
@@ -987,7 +1055,7 @@ def _experiment_nn_ci(config, model, n, delta):
     report carries the mean empirical-loss residual against the generating
     parameters for that purpose (null when no 'truth_params' are given).
     """
-    cls = config["class"]
+    cls = _need(config, "class", "coverage")
     if isinstance(cls, (str, dict)):
         cls = class_from_json(cls)
     if not isinstance(cls, NeuralNet):

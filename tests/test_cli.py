@@ -1,12 +1,16 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import riskbounds.cli as cli
 from riskbounds import __version__
+
+
+REQUESTS = Path(__file__).resolve().parents[1] / "bench" / "requests"
 
 
 def run(tmp_path, capsys, command, params=None, extra=(), fmt="json"):
@@ -714,6 +718,51 @@ class TestCoverageCommand:
         assert code == 2
         assert out == ""
         assert f"{where}: missing required fields: {', '.join(drop)}" in err
+
+    @pytest.mark.parametrize("part,doc,message", [
+        ("mean", {"kind": "affine"}, "affine mean needs field 'coeffs'"),
+        ("mean", {"kind": "atom_table"}, "atom_table mean needs field 'values'"),
+        ("noise", {"kind": "discrete"}, "discrete noise needs field 'values'"),
+        ("noise", {"kind": "discrete", "values": [0.3, -0.3]},
+         "discrete noise needs field 'probs'"),
+    ], ids=["affine-coeffs", "atom-table-values", "noise-values", "noise-probs"])
+    def test_missing_model_array_is_named(self, tmp_path, capsys, part, doc, message):
+        params = json.loads((REQUESTS / "coverage_c7b.json").read_text())
+        params["model"][part] = doc
+        code, out, err = run(tmp_path, capsys, "coverage", params)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    # the per-bound fields on the bench documents: None deletes the field
+    @pytest.mark.parametrize("request_name,field,value,message", [
+        ("coverage_c7a_iid", "values", None, "coverage: missing required field 'values'"),
+        ("coverage_c7a_iid", "values", "abc", "coverage: field 'values' must be a nonempty table"),
+        ("coverage_c7a_iid", "values", [[0.1, 0.2], [0.3]], "coverage: field 'values' must be"),
+        ("coverage_c7c", "values", None, "coverage: missing required field 'values'"),
+        ("coverage_c7c", "rate_r", None, "coverage: missing required field 'rate_r'"),
+        ("coverage_c7c", "rate_r", "abc", "coverage: field 'rate_r' must be a number"),
+        ("coverage_c7b", "class", None, "coverage: missing required field 'class'"),
+        ("coverage_c7b", "class", "abc", "class: not a JSON document"),
+        ("coverage_c7b", "c", None, "coverage: missing required field 'c'"),
+        ("coverage_c7b", "c", "abc", "coverage: field 'c' must be a number"),
+        ("coverage_c7b", "lam", None, "coverage: missing required field 'lam'"),
+        ("coverage_c7b", "lam", [2.0], "coverage: field 'lam' must be a number"),
+    ], ids=["values-missing", "values-string", "values-ragged", "mixing-values-missing",
+            "rate_r-missing", "rate_r-string", "class-missing", "class-not-json", "c-missing",
+            "c-string", "lam-missing", "lam-list"])
+    def test_per_bound_field_is_named(self, tmp_path, capsys, request_name, field, value,
+                                      message):
+        params = json.loads((REQUESTS / f"{request_name}.json").read_text())
+        if request_name == "coverage_c7b":
+            params.update(use_optimized_constants=False, c=2.0, lam=2.0)
+        params.pop(field)
+        if value is not None:
+            params[field] = value
+        code, out, err = run(tmp_path, capsys, "coverage", params)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_network_report_is_strict_json_without_truth(self, tmp_path, capsys, monkeypatch):
         import riskbounds.simulate as sim

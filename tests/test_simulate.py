@@ -66,6 +66,33 @@ class TestSpecs:
         with pytest.raises(ValueError, match="half_width"):
             NoiseSpec(kind="uniform", half_width=0.0)
 
+    @pytest.mark.parametrize("spec,message", [
+        (lambda: MeanSpec(kind="affine"), "affine mean needs field 'coeffs'"),
+        (lambda: MeanSpec(kind="atom_table"), "atom_table mean needs field 'values'"),
+        (lambda: NoiseSpec(kind="discrete", probs=[1.0]), "discrete noise needs field 'values'"),
+        (lambda: NoiseSpec(kind="discrete", values=[1.0]), "discrete noise needs field 'probs'"),
+        (lambda: CovariateSpec(kind="discrete", support=[0.0]),
+         "discrete covariates needs field 'probs'"),
+    ], ids=["affine-coeffs", "atom-table-values", "noise-values", "noise-probs",
+            "covariate-probs"])
+    def test_missing_array_is_named(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            spec()
+
+    @pytest.mark.parametrize("field", ["noise probs", "probs", "probs_end"])
+    @pytest.mark.parametrize("bad", [[0.5, float("nan")], [0.5, 0.6], [1.5, -0.5]])
+    def test_each_distribution_is_checked_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=f"field '{field.split()[-1]}' must be a distribution"):
+            if field == "noise probs":
+                NoiseSpec(kind="discrete", values=[1.0, -1.0], probs=bad)
+            else:
+                CovariateSpec(kind="discrete", support=[0.0, 1.0],
+                              **{"probs": [0.5, 0.5], field: bad})
+
+    def test_covariate_distribution_covers_the_support(self):
+        with pytest.raises(ValueError, match="'probs_end' must be a distribution over the 2 "):
+            CovariateSpec(kind="discrete", support=[0.0, 1.0], probs=[0.5, 0.5], probs_end=[1.0])
+
     def test_noise_mean(self):
         sp = NoiseSpec(kind="discrete", values=[1.0, -1.0], probs=[0.75, 0.25])
         assert sp.mean() == pytest.approx(0.5)
@@ -680,6 +707,16 @@ class TestCoverageExperiments:
         assert rep.details["m_hat"] >= 1
         assert rep.details["beta_m"] <= 1.25 ** (-rep.details["m_hat"]) + 1e-15
         assert rep.empirical_coverage == 1.0  # interval is very wide here
+
+    def test_numpy_numbers_are_read_as_numbers(self):
+        requests = Path(__file__).resolve().parents[1] / "bench" / "requests"
+        mixing = json.loads((requests / "coverage_c7c.json").read_text())
+        want = coverage_experiment(dict(mixing)).to_json()
+        assert coverage_experiment(dict(mixing, rate_r=np.float32(1.25))).to_json() == want
+        grid = dict(json.loads((requests / "coverage_c7b.json").read_text()),
+                    use_optimized_constants=False, trials=100)
+        want = coverage_experiment(dict(grid, c=2.0, lam=3.0)).to_json()
+        assert coverage_experiment(dict(grid, c=np.int64(2), lam=np.int32(3))).to_json() == want
 
     def test_mixing_rejects_optimistic_rate(self):
         cfg = {
