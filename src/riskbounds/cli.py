@@ -4,9 +4,11 @@ Every subcommand reads a JSON parameter document (--params), computes, and
 emits a result envelope {inputs_echo, outputs, version, seed} as JSON (or
 CSV rows with --format csv) to stdout or --out.
 
-Exit codes: 0 success; 2 invalid or missing parameters, non-finite numbers
-included (the message names the offending field); 1 computation failure,
-including a non-finite result, which strict JSON cannot carry.
+Exit codes: 0 success; 2 a ValueError from a field reader or a domain check
+(invalid or missing parameters, non-finite numbers included; the message
+names the offending field) or an OSError; 1 any other exception while
+computing, a program fault, and a non-finite result, which strict JSON
+cannot carry.
 """
 
 import argparse
@@ -30,8 +32,9 @@ from .covering import (
     nn_entropy,
     vc_entropy,
 )
-from .hypothesis import FunctionTable, _need, _num
+from .hypothesis import FunctionTable, _kinds, _read_field, _read_fields
 from .mixing import (
+    _check_stochastic,
     block_indices,
     blocked_deviation_bound,
     choose_block_size,
@@ -40,35 +43,13 @@ from .mixing import (
     stationary_distribution,
 )
 from .rademacher import massart_bound, rademacher_exact, rademacher_mc
-from .simulate import _TRIAL_CHUNK_BYTES, coverage_experiment
+from .simulate import _trial_chunks, coverage_experiment
 
 __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
 # parameter document helpers
-
-
-def _nums(doc: dict, name: str, where: str, default=None):
-    """An optional list of numbers, each checked as `_num` checks one."""
-    v = doc.get(name)
-    if v is None:
-        return default
-    if not isinstance(v, list):
-        raise ValueError(f"{where}: field {name!r} must be a list of numbers, got {v!r}")
-    return [_num({name: x}, name, where) for x in v]
-
-
-def _square_matrix(doc: dict, name: str, where: str) -> np.ndarray:
-    """A non-empty square list of lists of numbers, each checked as `_num` checks one."""
-    rows = _need(doc, name, where)
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
-        raise ValueError(
-            f"{where}: field {name!r} must be a non-empty square list of lists of numbers, "
-            f"got {rows!r}"
-        )
-    return np.array([_nums({name: r}, name, where) for r in rows])
 
 
 def _non_finite_path(value, path: str = ""):
@@ -88,41 +69,22 @@ def _non_finite_path(value, path: str = ""):
     return None
 
 
-def _int(doc: dict, name: str, where: str, default=None, required=True):
-    v = _num(doc, name, where, default=default, required=required)
-    if v is None:
-        return None
-    if float(v) != int(v):
-        raise ValueError(f"{where}: field {name!r} must be an integer, got {v}")
-    return int(v)
-
-
-def _bool(doc: dict, name: str, default=False):
-    v = doc.get(name, default)
-    if not isinstance(v, bool):
-        raise ValueError(f"field {name!r} must be true or false, got {v!r}")
-    return v
-
-
 def _load_table(doc: dict, where: str) -> FunctionTable:
     """Value table from inline 'values' or a 'csv' path (rows=functions)."""
-    if "values" in doc and doc["values"] is not None:
-        return FunctionTable(np.asarray(doc["values"], dtype=float))
-    if "csv" in doc and doc["csv"] is not None:
-        vals = np.loadtxt(doc["csv"], delimiter=",", ndmin=2)
-        return FunctionTable(vals)
+    source = _read_fields(doc, {"values": np.ndarray | None, "csv": str | None}, where)
+    if "values" in source:
+        return FunctionTable(source["values"])
+    if "csv" in source:
+        return FunctionTable(np.loadtxt(source["csv"], delimiter=",", ndmin=2))
     raise ValueError(f"{where}: provide 'values' (inline rows) or 'csv' (path)")
 
 
 def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
-    kind = _need(doc, "kind", where)
-    if kind == "vc":
-        return EntropyEstimate.vc(_int(doc, "V", where), _num(doc, "B", where))
-    if kind == "neural_net":
-        return EntropyEstimate.neural_net(
-            _int(doc, "d", where), _int(doc, "N", where), _num(doc, "B", where)
-        )
-    raise ValueError(f"{where}: entropy kind must be 'vc' or 'neural_net', got {kind!r}")
+    kinds = {"vc": {"V": int, "B": float}, "neural_net": {"d": int, "N": int, "B": float}}
+    kind = _read_field(doc, "kind", str, where)
+    if kind not in kinds:
+        raise ValueError(f"{where}: field 'kind' must be 'vc' or 'neural_net', got {kind!r}")
+    return getattr(EntropyEstimate, kind)(**_read_fields(doc, kinds[kind], where))
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +94,10 @@ def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
 class _Formula(NamedTuple):
     """A `bound` formula: its callable, output keys and typed input fields.
 
-    Field kinds: float, int, `float | None`, `int | None`, bool (optional,
-    default false) or EntropyEstimate (a nested document). `params` fields are
-    read first, into the BoundParams passed as `params`. Each callable looks
-    its library function up when it runs and renames differing keywords.
+    Field kinds are those of `_read_field`; a `| None` field is optional and,
+    when absent, left to the library default. `params` fields are read into
+    the BoundParams passed as `params`. Each callable looks its library
+    function up when it runs and renames differing keywords.
     """
 
     call: Callable
@@ -144,13 +106,12 @@ class _Formula(NamedTuple):
     params: dict = {}
 
 
-_PARAMS = {"n": int, "B": float, "delta": float, "c": float, "lam": float,
-           "eta": float | None, "eta_prime": float | None}
+_PARAMS = _kinds(bv.BoundParams)
 
 _FORMULAS = {
     "deviation_tail": _Formula(
         lambda **kw: br.deviation_tail(**kw), ("tail",),
-        {"epsilon": float, "envelope_l2_sup": float, "nonnegative": bool},
+        {"epsilon": float, "envelope_l2_sup": float, "nonnegative": bool | None},
     ),
     "single_hypothesis_tail": _Formula(
         lambda **kw: br.single_hypothesis_tail(**kw), ("tail",),
@@ -163,8 +124,7 @@ _FORMULAS = {
     ),
     "rademacher_ci": _Formula(
         lambda **kw: br.rademacher_ci(br.RademacherCIInputs(**kw)), ("width",),
-        {"n": int, "envelope_l2_sup": float, "rad": float, "delta": float,
-         "nonnegative_family": bool},
+        _kinds(br.RademacherCIInputs),
     ),
     "rademacher_ci_massart": _Formula(
         lambda envelope_l2_sup, **kw: br.rademacher_ci_massart(env=envelope_l2_sup, **kw),
@@ -174,7 +134,8 @@ _FORMULAS = {
     ),
     "nn_generalization_ci": _Formula(
         lambda **kw: br.nn_generalization_ci(**kw), ("width",),
-        {"n": int, "d": int, "B": float, "delta": float, "improved": bool, "units": int | None},
+        {"n": int, "d": int, "B": float, "delta": float, "improved": bool | None,
+         "units": int | None},
     ),
     "mixing_rademacher_ci": _Formula(
         lambda **kw: br.mixing_rademacher_ci(**kw), ("width",),
@@ -201,8 +162,9 @@ _FORMULAS = {
         ("bound",), {"n": int, "B": float, "delta": float, "lam": float, "log_cover": float},
     ),
     "refined_bound": _Formula(
-        lambda **kw: bv.refined_bound(**kw), ("bound",),
-        {"n": int, "B_n": float, "delta": float, "c_n": float, "entropy": EntropyEstimate},
+        lambda entropy, **kw: bv.refined_bound(
+            entropy=_entropy_from_doc(entropy, "bound[refined_bound].entropy"), **kw),
+        ("bound",), {"n": int, "B_n": float, "delta": float, "c_n": float, "entropy": dict},
     ),
     "bounded_class_ci": _Formula(
         lambda **kw: bv.bounded_class_ci(**kw), ("width",),
@@ -219,45 +181,23 @@ _FORMULAS = {
     ),
 }
 
-_REQUIRED_KINDS = (float, int, EntropyEstimate)
-
-
-def _read_fields(doc: dict, fields: dict, where: str) -> dict:
-    """Keyword arguments from `doc`, nested documents read first."""
-    kwargs = {}
-    for name, kind in sorted(fields.items(), key=lambda f: f[1] is not EntropyEstimate):
-        if kind is EntropyEstimate:
-            kwargs[name] = _entropy_from_doc(doc[name], f"{where}.{name}")
-        elif kind is bool:
-            kwargs[name] = _bool(doc, name)
-        else:
-            read = _int if kind in (int, int | None) else _num
-            kwargs[name] = read(doc, name, where, required=kind in _REQUIRED_KINDS)
-    return kwargs
-
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (outputs dict, csv rows or None)
 
 
 def _cmd_bound(doc, seed):
-    formula = _need(doc, "formula", "bound")
+    formula = _read_field(doc, "formula", str, "bound")
     if formula not in _FORMULAS:
         known = ", ".join(sorted(_FORMULAS))
         raise ValueError(f"bound: unknown formula {formula!r}; known formulas: {known}")
-    inputs = doc.get("inputs")
-    if not isinstance(inputs, dict):
-        raise ValueError("bound: missing required field 'inputs' (object)")
+    inputs = _read_field(doc, "inputs", dict, "bound")
     spec = _FORMULAS[formula]
     where = f"bound[{formula}]"
-    fields = {**spec.params, **spec.fields}
-    missing = [f for f, kind in fields.items() if kind in _REQUIRED_KINDS and inputs.get(f) is None]
-    if missing:
-        raise ValueError(f"{where}: missing required fields: {', '.join(missing)}")
-    kwargs = {}
+    kwargs = _read_fields(inputs, {**spec.params, **spec.fields}, where)
     if spec.params:
-        kwargs["params"] = bv.BoundParams(**_read_fields(inputs, spec.params, where))
-    kwargs.update(_read_fields(inputs, spec.fields, where))
+        kwargs["params"] = bv.BoundParams(**{name: kwargs.pop(name) for name in spec.params
+                                             if name in kwargs})
     result = spec.call(**kwargs)
     results = result if len(spec.outputs) > 1 else (result,)
     outputs = dict(zip(spec.outputs, results))
@@ -271,16 +211,17 @@ def _cmd_optimize_constants(doc, seed):
 
 def _cmd_rademacher(doc, seed):
     table = _load_table(doc, "rademacher")
-    mode = doc.get("mode", "auto")
+    opts = _read_fields(doc, {"mode": str | None, "draws": int | None}, "rademacher")
+    mode = opts.get("mode", "auto")
     if mode not in ("auto", "exact", "monte_carlo"):
-        raise ValueError(f"rademacher: mode must be auto, exact or monte_carlo, got {mode!r}")
+        raise ValueError(f"rademacher: field 'mode' must be auto, exact or monte_carlo, "
+                         f"got {mode!r}")
     if mode == "auto":
         mode = "exact" if table.n <= 24 else "monte_carlo"
     if mode == "exact":
         est = rademacher_exact(table)
     else:
-        draws = _int(doc, "draws", "rademacher", default=1000)
-        est = rademacher_mc(table, draws=draws, seed=0 if seed is None else seed)
+        est = rademacher_mc(table, draws=opts.get("draws", 1000), seed=0 if seed is None else seed)
     return {
         "value": est.value,
         "std_error": est.std_error,
@@ -294,14 +235,14 @@ def _cmd_rademacher(doc, seed):
 
 def _cmd_cover(doc, seed):
     table = _load_table(doc, "cover")
-    radius = _num(doc, "radius", "cover")
-    method = doc.get("method", "greedy")
+    radius = _read_field(doc, "radius", float, "cover")
+    method = _read_fields(doc, {"method": str | None}, "cover").get("method", "greedy")
     if method == "greedy":
         result = greedy_cover(table, radius)
     elif method == "exact":
         result = exact_cover_size(table, radius)
     else:
-        raise ValueError(f"cover: method must be greedy or exact, got {method!r}")
+        raise ValueError(f"cover: field 'method' must be greedy or exact, got {method!r}")
     return {
         "radius": result.radius,
         "size": result.size,
@@ -313,12 +254,16 @@ def _cmd_cover(doc, seed):
 
 def _cmd_entropy(doc, seed):
     estimate = _entropy_from_doc(doc, "entropy")
-    radii = doc.get("radii")
-    if radii is None:
-        radii = [_num(doc, "r", "entropy")]
-    values = [{"r": float(r), "entropy": estimate(float(r))} for r in radii]
+    radii = _read_field(doc, "radii", np.ndarray | None, "entropy")
+    name, radii = ("r", [_read_field(doc, "r", float, "entropy")]) if radii is None else (
+        "radii", radii.ravel().tolist())
+    lo, hi = estimate.validity
+    if not all(lo < r <= hi for r in radii):
+        raise ValueError(f"entropy: field {name!r} must lie in the validity range ({lo}, {hi}], "
+                         f"got {radii}")
+    values = [{"r": r, "entropy": estimate(r)} for r in radii]
     outputs = {"kind": estimate.kind, "validity": list(estimate.validity), "values": values}
-    if _bool(doc, "classify"):
+    if _read_field(doc, "classify", bool | None, "entropy"):
         tag = classify_entropy(estimate)
         outputs["tag"] = {"kind": tag.kind, "alpha": tag.alpha}
     rows = [("r,entropy", [f"{v['r']},{v['entropy']}" for v in values])]
@@ -327,15 +272,18 @@ def _cmd_entropy(doc, seed):
 
 def _cmd_mixing_demo(doc, seed):
     """Blocked tail bound vs empirical frequencies on a simulated chain."""
-    P = _square_matrix(doc, "transition", "mixing-demo")
-    n = _int(doc, "n", "mixing-demo")
-    delta = _num(doc, "delta", "mixing-demo")
-    rate_r = _num(doc, "rate_r", "mixing-demo")
-    trials = _int(doc, "trials", "mixing-demo", default=500)
-    default_h = [1.0 if i % 2 == 0 else -1.0 for i in range(P.shape[0])]
-    h_vals = np.array(_nums(doc, "h_values", "mixing-demo", default_h))
-    if h_vals.shape[0] != P.shape[0]:
-        raise ValueError("mixing-demo: h_values length must match the state count")
+    P = _check_stochastic(_read_field(doc, "transition", np.ndarray, "mixing-demo"))
+    n = _read_field(doc, "n", int, "mixing-demo")
+    delta = _read_field(doc, "delta", float, "mixing-demo")
+    rate_r = _read_field(doc, "rate_r", float, "mixing-demo")
+    opts = _read_fields(doc, {"trials": int | None, "h_values": np.ndarray | None,
+                              "thresholds": np.ndarray | None}, "mixing-demo")
+    trials = opts.get("trials", 500)
+    if trials < 1:
+        raise ValueError(f"mixing-demo: field 'trials' must be >= 1, got {trials}")
+    h_vals = opts.get("h_values", np.array([1.0 if i % 2 == 0 else -1.0 for i in range(len(P))]))
+    if h_vals.shape != (len(P),):
+        raise ValueError("mixing-demo: field 'h_values' must hold one number per state")
 
     pi = stationary_distribution(P)
     m = choose_block_size(n, delta, rate_r)
@@ -347,19 +295,18 @@ def _cmd_mixing_demo(doc, seed):
     def per_block_tail(t, size):
         return br.single_hypothesis_tail(t, math.sqrt(size) * h_max)
 
-    thresholds = _nums(doc, "thresholds", "mixing-demo")
-    if thresholds is None:
+    if "thresholds" in opts:
+        thresholds = opts["thresholds"].ravel().tolist()
+    else:
         base = h_max * math.sqrt(max(sizes))
         thresholds = [round(base * f, 6) for f in (0.5, 1.0, 1.5, 2.0)]
 
-    # trial t draws from SeedSequence([base_seed, t]), as coverage trials do
-    base_seed = 0 if seed is None else seed
-    rngs = [np.random.default_rng(np.random.SeedSequence([base_seed, t])) for t in range(trials)]
-    chunk = max(1, _TRIAL_CHUNK_BYTES // (24 * n))  # uniforms, states and h values
+    # trial t draws from SeedSequence([base_seed, t]), as coverage trials do; a
+    # trial's working memory is its uniforms, states and h values: 24 n bytes
     devs = np.empty(trials)
-    for start in range(0, trials, chunk):
-        states = sample_chain(P, n, rngs[start : start + chunk])
-        devs[start : start + chunk] = n * mean_h - h_vals[states].sum(axis=1)
+    for ts, seeds in _trial_chunks(trials, 0 if seed is None else seed, 24 * n):
+        states = sample_chain(P, n, [np.random.default_rng(s) for s in seeds])
+        devs[ts.start : ts.stop] = n * mean_h - h_vals[states].sum(axis=1)
 
     rows_data = []
     results = []
@@ -391,15 +338,7 @@ def _cmd_mixing_demo(doc, seed):
 
 
 def _cmd_coverage(doc, seed):
-    config = {
-        **doc,
-        "bound": _need(doc, "bound", "coverage"),
-        "n": _int(doc, "n", "coverage"),
-        "trials": _int(doc, "trials", "coverage"),
-        "delta": _num(doc, "delta", "coverage"),
-        "base_seed": _int(doc, "base_seed", "coverage", default=0) if seed is None else seed,
-    }
-    report = coverage_experiment(config)
+    report = coverage_experiment(doc if seed is None else {**doc, "base_seed": seed})
     outputs = report.to_json()
     per_trial = outputs["details"].get("per_trial")
     rows = None
@@ -489,7 +428,7 @@ def main(argv=None) -> int:
         elif _COMMANDS[args.command].needs_params:
             raise ValueError(f"{args.command}: --params is required")
         outputs, csv_rows = _COMMANDS[args.command].run(doc, args.seed)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # computation failure

@@ -58,7 +58,7 @@ def empirical_l1_distance(row_a, row_b) -> float:
 
 def _distances_from(values: np.ndarray, j: int) -> np.ndarray:
     """Averaged L1 distance from row j to every row, in O(m n) memory."""
-    return np.mean(np.abs(values - values[j]), axis=1)
+    return np.mean(abs(values - values[j]), axis=1)  # abs() reuses the difference array
 
 
 def greedy_cover(table: FunctionTable, r: float) -> CoveringResult:

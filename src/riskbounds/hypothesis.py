@@ -163,6 +163,9 @@ class TruncatedLinear:
                 raise ValueError("monomial basis needs dim=1 and degree >= 0")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.coef_box is not None and (len(self.coef_box) != 2
+                                          or any(np.ndim(v) for v in self.coef_box)):
+            raise ValueError(f"field 'coef_box' must be (low, high), got {self.coef_box!r}")
 
     @property
     def span_dim(self) -> int:
@@ -296,8 +299,9 @@ class FunctionTable:
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if vals.size == 0:
-            raise ValueError("table must have at least one row and column")
+        if vals.size == 0 or vals.ndim != 2:
+            raise ValueError(f"table must be a (rows, columns) matrix with at least one of each, "
+                             f"got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("table entries must be finite")
         object.__setattr__(self, "values", vals)
@@ -354,7 +358,8 @@ def evaluate_class(
     if isinstance(cls, TruncatedLinear):
         if params.shape[1] != cls.span_dim:
             raise ValueError(
-                f"grid vectors have length {params.shape[1]}, span dimension is {cls.span_dim}"
+                f"grid axes or points give vectors of length {params.shape[1]}, "
+                f"span dimension is {cls.span_dim}"
             )
         if cls.coef_box is not None:
             lo, hi = cls.coef_box
@@ -392,23 +397,92 @@ def vc_dimension_bound(cls: HypothesisClass) -> int | None:
     return None
 
 
-def _need(doc: dict, name: str, where: str):
-    if name not in doc or doc[name] is None:
+def _array_field(value, name: str, owner: str) -> np.ndarray:
+    """Field ``name`` of ``owner`` as a flat float array; refused when absent."""
+    if value is None:
+        raise ValueError(f"{owner} needs field {name!r}")
+    return np.asarray(value, dtype=float).ravel()
+
+
+def _distribution(value, name: str, owner: str, size: int | None = None) -> np.ndarray:
+    """Field ``name`` of ``owner`` as a pmf: nonnegative entries summing to 1,
+    ``size`` of them when given."""
+    p = _array_field(value, name, owner)
+    if (p.size == 0 or size not in (None, p.size)
+            or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9)):
+        over = "" if size is None else f" over the {size} support atoms"
+        raise ValueError(f"{owner}: field {name!r} must be a distribution{over}")
+    return p
+
+
+def _read_field(doc: dict, name: str, kind, where: str):
+    """Field ``name`` of ``doc`` read as ``kind``: float, int, bool, str, dict
+    (a JSON object), np.ndarray (a nonempty array of finite floats), tuple (of
+    numbers or number lists), a dataclass (an instance, or its document),
+    HypothesisClass (an instance, or its tagged document) or any of these
+    ``| None``, which reads an absent or null field as None. Any other value
+    raises one ValueError, led by ``where``, that names the field."""
+    v, options = doc.get(name), get_args(kind)
+    if v is None:
+        if type(None) in options:
+            return None
         raise ValueError(f"{where}: missing required field {name!r}")
-    return doc[name]
+    if kind == HypothesisClass:
+        return v if isinstance(v, kind) else class_from_json(v)
+    kind = options[0] if type(None) in options else kind
+    if kind in (float, int):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):  # numpy's too
+            raise ValueError(f"{where}: field {name!r} must be a number, got {v!r}")
+        if (isinstance(v, int) and abs(v) > sys.float_info.max) or not math.isfinite(v):
+            raise ValueError(f"{where}: field {name!r} must be finite and within the float range")
+        if kind is float:
+            return float(v)
+        if float(v) != int(v):
+            raise ValueError(f"{where}: field {name!r} must be an integer, got {float(v)}")
+        return int(float(v))
+    if kind in (bool, str, dict):
+        if not isinstance(v, (bool, np.bool_) if kind is bool else kind):
+            wanted = {bool: "true or false", str: "a string", dict: "a JSON object"}[kind]
+            raise ValueError(f"{where}: field {name!r} must be {wanted}, got {v!r}")
+        return bool(v) if kind is bool else v
+    if kind is np.ndarray:
+        try:
+            a = np.asarray(v)
+        except ValueError:  # ragged
+            a = np.empty(0)
+        if a.size == 0 or a.dtype.kind not in "iuf":
+            raise ValueError(f"{where}: field {name!r} must be a nonempty table of numbers, "
+                             f"got {v!r}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{where}: field {name!r} must be finite and within the float range")
+        return np.asarray(a, dtype=float)
+    if kind is tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ValueError(f"{where}: field {name!r} must be a list, got {v!r}")
+        return tuple(_read_field({name: x}, name, np.ndarray if isinstance(x, list) else float,
+                                 where) for x in v)
+    if is_dataclass(kind):
+        return v if isinstance(v, kind) else _from_doc(kind, v, f"{where}.{name}")
+    raise TypeError(f"{where}: field {name!r} has no reader for {kind!r}")
 
 
-def _num(doc: dict, name: str, where: str, default=None, required=True):
-    if name not in doc or doc[name] is None:
-        if required and default is None:
-            raise ValueError(f"{where}: missing required field {name!r}")
-        return default
-    v = doc[name]
-    if isinstance(v, bool) or not isinstance(v, (int, float, numbers.Real)):  # numpy's too
-        raise ValueError(f"{where}: field {name!r} must be a number, got {v!r}")
-    if (isinstance(v, int) and abs(v) > sys.float_info.max) or not math.isfinite(v):
-        raise ValueError(f"{where}: field {name!r} must be finite and within the float range")
-    return float(v)
+def _read_fields(doc: dict, kinds: dict, where: str) -> dict:
+    """The fields of ``doc`` named in ``kinds``, each read as its kind by
+    ``_read_field``; those that read as None are left out, so defaults apply.
+    One ValueError, led by ``where``, first names every missing required field."""
+    missing = [name for name, kind in kinds.items()
+               if doc.get(name) is None and type(None) not in get_args(kind)]
+    if missing:
+        raise ValueError(f"{where}: missing required fields: {', '.join(missing)}")
+    kwargs = {name: _read_field(doc, name, kind, where) for name, kind in kinds.items()}
+    return {name: v for name, v in kwargs.items() if v is not None}
+
+
+def _kinds(cls) -> dict:
+    """Each field of the dataclass ``cls`` by its annotation, ``| None`` when it
+    has a default."""
+    return {f.name: f.type if f.default is MISSING and f.default_factory is MISSING
+            else f.type | None for f in fields(cls)}
 
 
 def _to_doc(obj):
@@ -423,34 +497,15 @@ def _to_doc(obj):
     return obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
 
 
-def _from_doc(cls, doc, where: str, nested: dict = {}):
-    """The dataclass ``cls`` from the same-named fields of ``doc``, unknown
-    keys ignored. A null or absent field takes its default, for a field in
-    ``nested`` that default document (also when empty). Fields typed as
-    arrays, tuples or dataclasses are read as such. One ValueError, led by
-    ``where``, names every missing required field."""
+def _from_doc(cls, doc, where: str):
+    """The dataclass ``cls`` from the same-named fields of ``doc``, read by
+    ``_read_fields``; unknown keys are ignored. A field whose metadata holds an
+    ``"empty"`` document reads that document when null, absent or empty."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {doc!r}")
-    raw = {f.name: doc.get(f.name) for f in fields(cls)}
-    raw.update({name: sub_doc for name, sub_doc in nested.items() if not raw[name]})
-    missing = [f.name for f in fields(cls) if raw[f.name] is None
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValueError(f"{where}: missing required fields: {', '.join(missing)}")
-    kwargs = {}
-    for f in fields(cls):
-        value, types = raw[f.name], (f.type, *get_args(f.type))
-        if value is None:
-            continue
-        sub = next((t for t in types if is_dataclass(t)), None)
-        if sub is not None:
-            value = _from_doc(sub, value, f"{where}.{f.name}")
-        elif np.ndarray in types:
-            value = np.asarray(value, dtype=float)
-        elif tuple in types:
-            value = tuple(value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
+    doc = {**doc, **{f.name: f.metadata["empty"] for f in fields(cls)
+                     if "empty" in f.metadata and not doc.get(f.name)}}
+    return cls(**_read_fields(doc, _kinds(cls), where))
 
 
 _CLASS_KINDS = {"finite": Finite, "truncated_linear": TruncatedLinear, "neural_net": NeuralNet}
@@ -472,7 +527,7 @@ def class_from_json(doc: str | dict) -> HypothesisClass:
         except json.JSONDecodeError as exc:
             raise ValueError(f"class: not a JSON document: {exc}") from None
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in _CLASS_KINDS:
+    if not isinstance(kind, str) or kind not in _CLASS_KINDS:
         raise ValueError(f"class: field 'kind' must be one of {', '.join(_CLASS_KINDS)}, "
                          f"got {kind!r}")
     return _from_doc(_CLASS_KINDS[kind], doc, "class")

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .hypothesis import _distribution
+
 __all__ = [
     "MixingPlan",
     "block_indices",
@@ -137,9 +139,7 @@ def markov_beta_of_lag(P: np.ndarray, pi: np.ndarray | None, m: int) -> float:
     if pi is None:
         pi = stationary_distribution(P)
     else:
-        pi = np.asarray(pi, dtype=float).ravel()
-        if pi.shape[0] != P.shape[0] or abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < 0):
-            raise ValueError("pi is not a distribution matching the chain size")
+        pi = _distribution(pi, "pi", "markov_beta_of_lag", P.shape[0])
         if not np.allclose(pi @ P, pi, atol=1e-9):
             raise ValueError("pi is not stationary for the given transition matrix")
     Pm = np.linalg.matrix_power(P, m)

@@ -22,20 +22,23 @@ from .hypothesis import (
     Finite,
     FunctionTable,
     GridSpec,
+    HypothesisClass,
     NeuralNet,
     SequentialSample,
     TruncatedLinear,
+    _array_field,
+    _distribution,
     _from_doc,
-    _need,
-    _num,
+    _read_field,
+    _read_fields,
     _to_doc,
-    class_from_json,
     evaluate_class,
     truncate,
     vc_dimension_bound,
 )
 from .mixing import (
-    _block_count, block_indices, markov_beta_of_lag, sample_chain, stationary_distribution,
+    _block_count, _check_stochastic, block_indices, markov_beta_of_lag, sample_chain,
+    stationary_distribution,
 )
 from .rademacher import _expected_max, massart_bound
 
@@ -65,24 +68,6 @@ _ENUM_LIMIT = 1 << 21  # cap on (2s)^n partial-state count for exact averages
 
 # ---------------------------------------------------------------------------
 # data model definitions
-
-
-def _array_field(value, name: str, owner: str) -> np.ndarray:
-    """Field ``name`` of ``owner`` as a flat float array; refused when absent."""
-    if value is None:
-        raise ValueError(f"{owner} needs field {name!r}")
-    return np.asarray(value, dtype=float).ravel()
-
-
-def _distribution(value, name: str, owner: str, size: int | None = None) -> np.ndarray:
-    """Field ``name`` of ``owner`` as a pmf: nonnegative entries summing to 1,
-    ``size`` of them when given."""
-    p = _array_field(value, name, owner)
-    if (p.size == 0 or size not in (None, p.size)
-            or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9)):
-        over = "" if size is None else f" over the {size} support atoms"
-        raise ValueError(f"{owner}: field {name!r} must be a distribution{over}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -151,11 +136,9 @@ class CovariateSpec:
                 q = _distribution(self.probs_end, "probs_end", owner, s)
                 object.__setattr__(self, "probs_end", q)
         else:  # markov
-            P = np.asarray(self.transition, dtype=float)
+            P = _check_stochastic(self.transition)
             if P.shape != (s, s):
-                raise ValueError("transition matrix must be (s, s)")
-            if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("transition matrix must be row-stochastic")
+                raise ValueError(f"field 'transition' must be ({s}, {s}): a row per support atom")
             object.__setattr__(self, "transition", P)
 
     @property
@@ -207,7 +190,9 @@ class MeanSpec:
             return np.full(len(pts), self.coeffs[0])
         if pts.shape[1] != d:
             raise ValueError(f"points have dimension {pts.shape[1]}, mean expects {d}")
-        return self.coeffs[0] + pts @ self.coeffs[1:]
+        f = pts @ self.coeffs[1:]
+        f += self.coeffs[0]  # in place: no second (points,) array
+        return f
 
     def at_atoms(self, support: np.ndarray) -> np.ndarray:
         if self.kind == "atom_table":
@@ -228,8 +213,9 @@ class DataModel:
 
     kind: str
     covariates: CovariateSpec
-    mean: MeanSpec
-    noise: NoiseSpec
+    # a document whose mean or noise is null, absent or empty reads these
+    mean: MeanSpec = field(metadata={"empty": {"kind": "affine", "coeffs": [0.0]}})
+    noise: NoiseSpec = field(metadata={"empty": {"kind": "none"}})
     B: float
     drift: tuple | None = None
     unbounded_response: bool = False
@@ -245,12 +231,16 @@ class DataModel:
             raise ValueError("markov covariates need kind='markov_chain'")
         if self.mean.kind == "atom_table" and self.covariates.kind == "uniform":
             raise ValueError("atom_table means need finite-support covariates")
+        if self.mean.kind == "atom_table" and len(self.mean.values) != self.covariates.n_states:
+            raise ValueError(f"field 'mean.values' must hold one value per support atom "
+                             f"({self.covariates.n_states}), got {len(self.mean.values)}")
         if self.kind == "iid" and (
             self.drift is not None or self.covariates.probs_end is not None
         ):
             raise ValueError("iid models cannot carry index drift")
-        if self.drift is not None and len(self.drift) != 2:
-            raise ValueError("drift must be (start, end)")
+        if self.drift is not None and (len(self.drift) != 2
+                                       or any(np.ndim(v) for v in self.drift)):
+            raise ValueError(f"field 'drift' must be (start, end), got {self.drift!r}")
 
     def drift_offsets(self, n: int) -> np.ndarray:
         if self.drift is None:
@@ -269,8 +259,7 @@ def model_to_json(model: DataModel) -> dict:
 
 def model_from_json(doc: dict) -> DataModel:
     """Inverse of model_to_json; a null, absent or empty mean is zero, noise none."""
-    defaults = {"mean": {"kind": "affine", "coeffs": [0.0]}, "noise": {"kind": "none"}}
-    return _from_doc(DataModel, doc, "model", defaults)
+    return _from_doc(DataModel, doc, "model")
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +743,16 @@ class CoverageReport:
 _TRIAL_CHUNK_BYTES = 1 << 24  # working memory of one chunk of coverage trials
 
 
+def _trial_chunks(trials: int, base_seed: int, trial_bytes: int):
+    """Each chunk's trial range and the trials' ``SeedSequence([base_seed, t])``
+    seeds, as many trials per chunk as fit ``_TRIAL_CHUNK_BYTES`` at
+    ``trial_bytes`` of working memory per trial (at least one)."""
+    chunk = max(1, _TRIAL_CHUNK_BYTES // trial_bytes)
+    for start in range(0, trials, chunk):
+        ts = range(start, min(start + chunk, trials))
+        yield ts, [np.random.SeedSequence([base_seed, t]) for t in ts]
+
+
 def _run_trials(
     name, model, n, delta, trials, base_seed, bound, statistic, details, work_floats
 ) -> CoverageReport:
@@ -769,11 +768,8 @@ def _run_trials(
     """
     sup = model.covariates.support
     point_bytes = 8 * ((1 if sup is None else sup.shape[1]) + 2 + work_floats)
-    chunk = max(1, _TRIAL_CHUNK_BYTES // (n * point_bytes))
     results = []
-    for start in range(0, trials, chunk):
-        ts = range(start, min(start + chunk, trials))
-        seeds = [np.random.SeedSequence([base_seed, t]) for t in ts]
+    for ts, seeds in _trial_chunks(trials, base_seed, n * point_bytes):
         try:
             draws = _draw_trials(model, n, seeds)
         except Exception:  # draw each trial alone to name the one that fails
@@ -817,18 +813,17 @@ def coverage_experiment(config: dict) -> CoverageReport:
     - nn_generalization_ci: 'class' (NeuralNet), reported-only semantics.
 
     Per-trial randomness derives from (base_seed, trial index); the report
-    is bit-identical across runs with the same config.
+    is bit-identical across runs with the same config.  Every field is read
+    once, by ``_read_field``; 'base_seed' defaults to 0.
     """
-    trials = int(config["trials"])
+    bound = _read_field(config, "bound", str, "coverage")
+    model = _read_field(config, "model", DataModel, "coverage")
+    n = _read_field(config, "n", int, "coverage")
+    trials = _read_field(config, "trials", int, "coverage")
     if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    bound = config["bound"]
-    model = config["model"]
-    if isinstance(model, dict):
-        model = model_from_json(model)
-    n = int(config["n"])
-    delta = float(config["delta"])
-    base_seed = int(config.get("base_seed", 0))
+        raise ValueError(f"coverage: field 'trials' must be >= 100, got {trials}")
+    delta = _read_field(config, "delta", float, "coverage")
+    base_seed = _read_field(config, "base_seed", int | None, "coverage") or 0
     # each returns the bound, statistic, details and work floats of _run_trials
     experiments = {
         "rademacher_ci": _experiment_rademacher_ci,
@@ -837,20 +832,16 @@ def coverage_experiment(config: dict) -> CoverageReport:
         "nn_generalization_ci": _experiment_nn_ci,
     }
     if bound not in experiments:
-        raise ValueError(f"unknown bound formula {bound!r}")
+        raise ValueError(f"coverage: unknown bound formula {bound!r}")
     setup = experiments[bound](config, model, n, delta)
     return _run_trials(bound, model, n, delta, trials, base_seed, *setup)
 
 
 def _class_values_from_config(config) -> np.ndarray:
-    raw = _need(config, "values", "coverage")
-    try:
-        vals = np.atleast_2d(np.asarray(raw, dtype=float))
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.ndim != 2 or vals.size == 0 or not np.all(np.isfinite(vals)):
-        raise ValueError("coverage: field 'values' must be a nonempty table of finite "
-                         f"numbers, one row per function, got {raw!r}")
+    vals = np.atleast_2d(_read_field(config, "values", np.ndarray, "coverage"))
+    if vals.ndim != 2:
+        raise ValueError("coverage: field 'values' must be a table, one row per function, "
+                         f"got an array of shape {vals.shape}")
     return vals
 
 
@@ -925,7 +916,8 @@ def _experiment_rademacher_ci(config, model, n, delta):
         raise ValueError("rademacher_ci experiment needs discrete covariates")
     vals = _class_values_from_config(config)
     if vals.shape[1] != model.covariates.n_states:
-        raise ValueError("class table columns must match the atom count")
+        raise ValueError(f"coverage: field 'values' must have one column per support atom "
+                         f"({model.covariates.n_states}), got {vals.shape[1]}")
     pmf = model.covariates.pmf_per_index(n)  # (n, s)
     expectations = pmf @ vals.T  # (n, m)
     pop_sums = expectations.sum(axis=0)  # (m,)
@@ -938,7 +930,7 @@ def _experiment_rademacher_ci(config, model, n, delta):
         envelope_l2_sup=env_l2_sup,
         rad=rad_ave,
         delta=delta,
-        nonnegative_family=bool(config.get("nonnegative_family", False)),
+        **_read_fields(config, {"nonnegative_family": bool | None}, "coverage"),
     )
     ci = br.rademacher_ci(inputs)
 
@@ -958,19 +950,17 @@ def _experiment_bounded_class_ci(config, model, n, delta):
     """
     if model.covariates.kind != "discrete":
         raise ValueError("bounded_class_ci experiment needs discrete covariates")
-    cls = _need(config, "class", "coverage")
-    if isinstance(cls, (str, dict)):
-        cls = class_from_json(cls)
+    cls = _read_field(config, "class", HypothesisClass, "coverage")
     if not isinstance(cls, TruncatedLinear):
         raise ValueError("bounded_class_ci experiment needs a TruncatedLinear class")
     if cls.span_dim > 3:
         raise ValueError("inf-class risk is exact only for span dimension <= 3 grids")
 
-    if config.get("use_optimized_constants", False):
+    if _read_field(config, "use_optimized_constants", bool | None, "coverage"):
         consts = bv.optimize_v()
         c, lam = consts.c0, consts.lambda0
     else:
-        c, lam = _num(config, "c", "coverage"), _num(config, "lam", "coverage")
+        c, lam = (_read_field(config, name, float, "coverage") for name in ("c", "lam"))
     params = bv.BoundParams(n=n, B=cls.B, delta=delta, c=c, lam=lam)
 
     atoms = model.covariates.support
@@ -1010,8 +1000,9 @@ def _experiment_mixing_ci(config, model, n, delta):
     vals = _class_values_from_config(config)
     P = model.covariates.transition
     if vals.shape[1] != P.shape[0]:
-        raise ValueError("class table columns must match the state count")
-    rate_r = _num(config, "rate_r", "coverage")
+        raise ValueError(f"coverage: field 'values' must have one column per chain state "
+                         f"({P.shape[0]}), got {vals.shape[1]}")
+    rate_r = _read_field(config, "rate_r", float, "coverage")
     pi = stationary_distribution(P)
 
     m_hat = _block_count(n, delta, rate_r)
@@ -1055,16 +1046,13 @@ def _experiment_nn_ci(config, model, n, delta):
     report carries the mean empirical-loss residual against the generating
     parameters for that purpose (null when no 'truth_params' are given).
     """
-    cls = _need(config, "class", "coverage")
-    if isinstance(cls, (str, dict)):
-        cls = class_from_json(cls)
+    cls = _read_field(config, "class", HypothesisClass, "coverage")
     if not isinstance(cls, NeuralNet):
         raise ValueError("nn experiment needs a NeuralNet class")
-    truth = config.get("truth_params")
-    truth = None if truth is None else np.asarray(truth, dtype=float)
+    truth = _read_field(config, "truth_params", np.ndarray | None, "coverage")
 
     width = br.nn_generalization_ci(n=n, d=cls.dim, B=cls.B, delta=delta)
-    inf_risk = float(config.get("inf_risk", 0.0))
+    inf_risk = _read_field(config, "inf_risk", float | None, "coverage") or 0.0
     bound = inf_risk + width
 
     def loss(theta, x, y):

@@ -1,7 +1,9 @@
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -786,3 +788,148 @@ class TestCoverageCommand:
         o = json.loads(out, parse_constant=refuse)["outputs"]
         assert o["details"]["mean_optimization_residual"] is None
         assert len(o["details"]["per_trial"]) == 100
+
+
+# ---------------------------------------------------------------------------
+# every field goes through one typed reader
+
+
+def _valid_requests():
+    """The (document, command) of every bench request that must succeed."""
+    mix = json.loads((REQUESTS / "mix.json").read_text())["requests"]
+    return [(r["doc"], r["command"]) for r in mix if r["doc"] and not r.get("expect_exit")]
+
+
+def _field_paths(doc, prefix=()):
+    """The key path of every field of a document, nested objects' fields included."""
+    for key, value in doc.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _field_paths(value, (*prefix, key))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+VALID_REQUESTS = _valid_requests()
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("name,command", VALID_REQUESTS, ids=[d for d, _ in VALID_REQUESTS])
+    def test_wrong_type_is_refused_by_name(self, tmp_path, capsys, name, command):
+        # each field, nested model and class fields included, holds a value of
+        # another type: the request succeeds or exits 2 with a message that
+        # names the field (a substituted object may name the fields it lacks
+        # instead); exit 1 would be a program fault
+        doc = json.loads((REQUESTS / f"{name}.json").read_text())
+        faults = []
+        for path in _field_paths(doc):
+            for value in ["x", [1], {"a": 1}, True]:
+                code, _, err = run(tmp_path, capsys, command, _replaced(doc, path, value),
+                                   extra=["--out", str(tmp_path / "out.json")])
+                named = re.search(rf"(?<!\w){re.escape(path[-1])}(?!\w)", err) or (
+                    isinstance(value, dict) and "missing required field" in err)
+                if code not in (0, 2) or (code == 2 and not named):
+                    faults.append((".".join(path), value, code, err.strip()))
+        assert faults == []
+
+    BOOL_FIELDS = [
+        ("bound", {"formula": "deviation_tail", "inputs": VALID_INPUTS["deviation_tail"]},
+         ("inputs", "nonnegative")),
+        ("bound", {"formula": "rademacher_ci", "inputs": VALID_INPUTS["rademacher_ci"]},
+         ("inputs", "nonnegative_family")),
+        ("bound", {"formula": "nn_generalization_ci",
+                   "inputs": VALID_INPUTS["nn_generalization_ci"]}, ("inputs", "improved")),
+        ("entropy", "entropy_vc_classify", ("classify",)),
+        ("coverage", "coverage_c7a_iid", ("nonnegative_family",)),
+        ("coverage", "coverage_c7a_iid", ("model", "unbounded_response")),
+        ("coverage", "coverage_c7b", ("use_optimized_constants",)),
+    ]
+
+    def test_bool_field_list_is_complete(self):
+        formula_bools = {name for spec in cli._FORMULAS.values()
+                         for name, kind in {**spec.params, **spec.fields}.items()
+                         if bool in (kind, *get_args(kind))}
+        listed = {path[-1] for command, _, path in self.BOOL_FIELDS if command == "bound"}
+        assert formula_bools == listed
+
+    @pytest.mark.parametrize("command,doc,path", BOOL_FIELDS,
+                             ids=[path[-1] for _, _, path in BOOL_FIELDS])
+    def test_bool_field_refuses_a_string(self, tmp_path, capsys, command, doc, path):
+        if isinstance(doc, str):
+            doc = json.loads((REQUESTS / f"{doc}.json").read_text())
+        code, out, err = run(tmp_path, capsys, command, _replaced(doc, path, "false"))
+        assert code == 2
+        assert out == ""
+        assert f"field {path[-1]!r} must be true or false, got 'false'" in err
+
+    def test_nonnegative_family_false_is_the_default(self, tmp_path, capsys):
+        # "false" (a string) once read as true and gave the narrower interval
+        doc = json.loads((REQUESTS / "coverage_c7a_iid.json").read_text())
+        bounds = []
+        for value in (None, False, True):
+            params = dict(doc) if value is None else dict(doc, nonnegative_family=value)
+            code, out, err = run(tmp_path, capsys, "coverage", params)
+            assert code == 0, err
+            bounds.append(envelope_of(out)["outputs"]["bound_value"])
+        assert bounds[0] == bounds[1] > bounds[2]
+
+    # shapes the type alone does not fix; the first two exited 1, the last two
+    # ran on a misread box and a misread table
+    @pytest.mark.parametrize("name,command,path,value,message", [
+        ("coverage_c7a_drift", "coverage", ("model", "drift"), [[1, 2], [3]],
+         "field 'drift' must be (start, end)"),
+        ("coverage_c7a_drift", "coverage", ("model", "drift"), [[0.1], [0.2]],
+         "field 'drift' must be (start, end)"),
+        ("coverage_c7b", "coverage", ("class", "coef_box"), [[-2, -1], [1, 2]],
+         "field 'coef_box' must be (low, high)"),
+        ("cover_greedy", "cover", ("values",), [[[1.0, 2.0]]],
+         "table must be a (rows, columns) matrix"),
+    ], ids=["drift-ragged", "drift-lists", "coef-box-lists", "cover-3d-table"])
+    def test_malformed_shape_exits_two(self, tmp_path, capsys, name, command, path, value,
+                                       message):
+        doc = json.loads((REQUESTS / f"{name}.json").read_text())
+        code, out, err = run(tmp_path, capsys, command, _replaced(doc, path, value))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_key_error_while_computing_exits_one(self, tmp_path, capsys, monkeypatch):
+        def broken(**kw):
+            raise KeyError("envelope")
+
+        monkeypatch.setattr(cli.br, "deviation_tail", broken)
+        params = {"formula": "deviation_tail", "inputs": VALID_INPUTS["deviation_tail"]}
+        code, out, err = run(tmp_path, capsys, "bound", params)
+        assert code == 1
+        assert out == ""
+        assert "computation error: KeyError" in err
+
+    def test_domain_value_error_exits_two(self, tmp_path, capsys):
+        inputs = dict(VALID_INPUTS["epsilon_n"], c=1.0)
+        code, out, err = run(tmp_path, capsys, "bound", {"formula": "epsilon_n", "inputs": inputs})
+        assert code == 2
+        assert out == ""
+        assert "c must exceed 1" in err
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_mixing_demo_refuses_no_trials(self, tmp_path, capsys, trials):
+        params = dict(TestMixingDemoCommand.PARAMS, trials=trials)
+        code, out, err = run(tmp_path, capsys, "mixing-demo", params)
+        assert code == 2
+        assert out == ""
+        assert f"field 'trials' must be >= 1, got {trials}" in err
+
+    # a -1e-16 entry is within the row-stochastic check's tolerance, -1e-14 is not
+    @pytest.mark.parametrize("entry,code", [(-1e-16, 0), (-1e-14, 2)], ids=["within", "beyond"])
+    def test_mixing_demo_stochastic_tolerance(self, tmp_path, capsys, entry, code):
+        params = dict(TestMixingDemoCommand.PARAMS, transition=[[0.9, 0.1], [1.0 - entry, entry]])
+        got, _, err = run(tmp_path, capsys, "mixing-demo", params)
+        assert got == code, err
+        assert code == 0 or "field 'transition' must be row-stochastic" in err

@@ -241,6 +241,14 @@ class TestMemoryBudget:
         table = FunctionTable(np.random.default_rng(1).normal(size=(1000, 200)))
         assert _peak_bytes(lambda: greedy_cover(table, 1.0)) < 32 * 2**20
 
+    def test_distance_row_holds_one_difference_array(self):
+        # abs() of the (m, n) difference works in place (numpy elides the
+        # temporary), so a greedy step allocates one table-sized array, not
+        # two; the slack covers numpy's 64 KiB ufunc buffer
+        vals = np.random.default_rng(4).uniform(-1.0, 1.0, size=(400, 200))
+        covering._distances_from(vals, 3)
+        assert _peak_bytes(lambda: covering._distances_from(vals, 3)) <= vals.nbytes + 128 * 1024
+
     def test_exact_tall_table(self):
         table = FunctionTable(np.random.default_rng(2).normal(size=(2000, 16)))
         assert _peak_bytes(lambda: rademacher_exact(table)) <= 2 * rademacher._WORK_BYTES

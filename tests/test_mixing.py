@@ -141,6 +141,12 @@ class TestMarkovBeta:
         with pytest.raises(ValueError, match="stationary"):
             markov_beta_of_lag(P, HALF, 1)
 
+    @pytest.mark.parametrize("pi", [[0.5, float("nan")], [0.5, 0.25, 0.25], [1.5, -0.5]],
+                             ids=["nan", "length", "negative"])
+    def test_pi_must_be_a_distribution_over_the_states(self, pi):
+        with pytest.raises(ValueError, match="field 'pi' must be a distribution over the 2 "):
+            markov_beta_of_lag(STAY_9, np.array(pi), 1)
+
     def test_lag_validation(self):
         with pytest.raises(ValueError, match="lag"):
             markov_beta_of_lag(STAY_9, HALF, 0)

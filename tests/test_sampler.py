@@ -237,8 +237,9 @@ class TestMixingDemoMatchesPerTrialLoop:
     @pytest.mark.parametrize("seed", [None, 5])
     @pytest.mark.parametrize("doc", DOCS, ids=["two-state", "three-state"])
     def test_frequencies_equal_reference(self, tmp_path, monkeypatch, doc, seed, budget):
-        # 24 kB puts 3 to 10 trials (1000 states) in each sample_chain call
-        monkeypatch.setattr(cli, "_TRIAL_CHUNK_BYTES", budget)
+        # 24 kB puts 3 to 10 trials (1000 states) in each sample_chain call;
+        # the chunking is the coverage engine's, at 24 bytes per state
+        monkeypatch.setattr(sim, "_TRIAL_CHUNK_BYTES", budget)
         drawn = []
 
         def spy(*args):

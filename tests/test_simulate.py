@@ -89,6 +89,34 @@ class TestSpecs:
                 CovariateSpec(kind="discrete", support=[0.0, 1.0],
                               **{"probs": [0.5, 0.5], field: bad})
 
+    # a -1e-16 entry is within the row-stochastic check's tolerance, -1e-14 is not
+    @pytest.mark.parametrize("entry", [-1e-16, -1e-14], ids=["within", "beyond"])
+    def test_markov_transition_tolerance(self, entry):
+        def spec():
+            return CovariateSpec(kind="markov", support=[0.0, 1.0],
+                                 transition=[[0.9, 0.1], [1.0 - entry, entry]])
+
+        if entry > -1e-15:
+            assert spec().transition[1, 1] == entry
+        else:
+            with pytest.raises(ValueError, match="field 'transition' must be row-stochastic"):
+                spec()
+
+    def test_markov_transition_matches_the_support(self):
+        with pytest.raises(ValueError, match=r"field 'transition' must be \(3, 3\)"):
+            CovariateSpec(kind="markov", support=[0.0, 1.0, 2.0], transition=[[1.0]])
+
+    def test_atom_table_mean_matches_the_support(self):
+        with pytest.raises(ValueError, match=r"field 'mean.values' must hold one value per "
+                                             r"support atom \(2\), got 1"):
+            iid_two_atom(mean_values=(1.0,))
+
+    def test_affine_mean_adds_the_intercept_in_place(self):
+        pts = np.random.default_rng(5).normal(size=(200, 3))
+        coeffs = np.array([0.1, -0.7, 0.3, 2.5])
+        got = MeanSpec(kind="affine", coeffs=coeffs).at_points(pts)
+        assert got.tobytes() == (coeffs[0] + pts @ coeffs[1:]).tobytes()
+
     def test_covariate_distribution_covers_the_support(self):
         with pytest.raises(ValueError, match="'probs_end' must be a distribution over the 2 "):
             CovariateSpec(kind="discrete", support=[0.0, 1.0], probs=[0.5, 0.5], probs_end=[1.0])
@@ -717,6 +745,20 @@ class TestCoverageExperiments:
                     use_optimized_constants=False, trials=100)
         want = coverage_experiment(dict(grid, c=2.0, lam=3.0)).to_json()
         assert coverage_experiment(dict(grid, c=np.int64(2), lam=np.int32(3))).to_json() == want
+
+    @pytest.mark.parametrize("field,value", [("n", 10.7), ("trials", 100.9), ("n", "10"),
+                                             ("delta", True), ("base_seed", 7.5)])
+    def test_fields_are_read_by_type(self, field, value):
+        # int() and float() once truncated or converted these silently
+        with pytest.raises(ValueError, match=f"^coverage: field '{field}' must be"):
+            coverage_experiment(dict(BASE_RAD_CONFIG, **{field: value}))
+
+    def test_library_objects_and_numpy_numbers_are_read(self):
+        want = coverage_experiment(dict(BASE_RAD_CONFIG)).to_json()
+        config = dict(BASE_RAD_CONFIG, model=model_from_json(BASE_RAD_CONFIG["model"]),
+                      values=np.array(BASE_RAD_CONFIG["values"]), n=np.int64(10),
+                      trials=np.int32(100), base_seed=np.uint8(7), delta=np.float64(0.1))
+        assert coverage_experiment(config).to_json() == want
 
     def test_mixing_rejects_optimistic_rate(self):
         cfg = {

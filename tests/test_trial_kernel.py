@@ -173,6 +173,23 @@ class TestAgainstParentLoops:
 
 
 class TestMemoryBudget:
+    def test_affine_draw_within_point_floats(self):
+        # _run_trials budgets a chunk's draws as dim + 2 float64s per point
+        # (covariates, responses, atom indices); the affine mean once added its
+        # intercept into a second (T, n) array, about 4.04 floats per point
+        T, n = 50, 2000
+        model = sim.model_from_json(_document("coverage_c7b")["model"])
+        seeds = [np.random.SeedSequence([0, t]) for t in range(T)]
+        sim._draw_trials(model, n, seeds[:1])  # first-use imports stay outside the trace
+        tracemalloc.start()
+        try:
+            sim._draw_trials(model, n, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dim = model.covariates.support.shape[1]
+        assert peak <= 8 * T * n * (dim + 2) + 192 * 1024, peak
+
     @pytest.mark.parametrize("name", ["coverage_c7b", "coverage_c7c"])
     def test_chunk_peak_within_work_floats(self, name):
         # as for the network statistic: one chunk holds its batched draws and
