@@ -84,7 +84,11 @@ def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
     kind = _read_field(doc, "kind", str, where)
     if kind not in kinds:
         raise ValueError(f"{where}: field 'kind' must be 'vc' or 'neural_net', got {kind!r}")
-    return getattr(EntropyEstimate, kind)(**_read_fields(doc, kinds[kind], where))
+    fields = _read_fields(doc, kinds[kind], where)
+    try:
+        return getattr(EntropyEstimate, kind)(**fields)
+    except ValueError as exc:  # a domain check: name the document
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

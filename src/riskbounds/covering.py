@@ -152,6 +152,12 @@ class EntropyTag:
     alpha: float | None = None
 
 
+def _check_B(B: float) -> None:
+    """Refuse a function range [-B, B] with B <= 0, which leaves no valid radius."""
+    if not B > 0:
+        raise ValueError(f"field 'B' must be positive, got {B}")
+
+
 @dataclass(frozen=True)
 class EntropyEstimate:
     """A nonincreasing upper bound r -> L(r) on log covering numbers.
@@ -167,6 +173,7 @@ class EntropyEstimate:
 
     @staticmethod
     def vc(V: int, B: float) -> "EntropyEstimate":
+        _check_B(B)
         return EntropyEstimate(
             kind="vc",
             evaluator=lambda r: vc_entropy(V, B, r),
@@ -176,6 +183,7 @@ class EntropyEstimate:
 
     @staticmethod
     def neural_net(d: int, N: int, B: float) -> "EntropyEstimate":
+        _check_B(B)
         # open right end; stay strictly inside B/2
         return EntropyEstimate(
             kind="neural_net",

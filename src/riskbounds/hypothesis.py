@@ -499,13 +499,19 @@ def _to_doc(obj):
 
 def _from_doc(cls, doc, where: str):
     """The dataclass ``cls`` from the same-named fields of ``doc``, read by
-    ``_read_fields``; unknown keys are ignored. A field whose metadata holds an
-    ``"empty"`` document reads that document when null, absent or empty."""
+    ``_read_fields``; one ValueError then names every key that is no field. A
+    field whose metadata holds an ``"empty"`` document reads that document
+    when null, absent or empty."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {doc!r}")
     doc = {**doc, **{f.name: f.metadata["empty"] for f in fields(cls)
                      if "empty" in f.metadata and not doc.get(f.name)}}
-    return cls(**_read_fields(doc, _kinds(cls), where))
+    kinds = _kinds(cls)
+    kwargs = _read_fields(doc, kinds, where)
+    unknown = [str(key) for key in doc if key not in kinds]
+    if unknown:
+        raise ValueError(f"{where}: unknown fields: {', '.join(unknown)}")
+    return cls(**kwargs)
 
 
 _CLASS_KINDS = {"finite": Finite, "truncated_linear": TruncatedLinear, "neural_net": NeuralNet}
@@ -530,4 +536,4 @@ def class_from_json(doc: str | dict) -> HypothesisClass:
     if not isinstance(kind, str) or kind not in _CLASS_KINDS:
         raise ValueError(f"class: field 'kind' must be one of {', '.join(_CLASS_KINDS)}, "
                          f"got {kind!r}")
-    return _from_doc(_CLASS_KINDS[kind], doc, "class")
+    return _from_doc(_CLASS_KINDS[kind], {k: v for k, v in doc.items() if k != "kind"}, "class")

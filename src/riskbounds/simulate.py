@@ -446,12 +446,14 @@ def erm_fit(
     - 'projected_gd': fixed-budget gradient descent for NeuralNet classes
       with the output weights projected onto their constraint set after
       every step; heuristic, no optimality claim.  The start is drawn from
-      ``default_rng(init_seed)``.  This is the batched network kernel that
-      coverage experiments run over all their trials at once, here with a
-      single trial, so a trial's fit replays exactly through this call.
-      Its units-major sums over the n points run in another order than a
-      one-fit loop over (n, units) arrays: bit-equal with one unit, within
-      1e-12 in the parameters after 300 steps with more.
+      ``default_rng(init_seed)``.  The sample's repeated points are merged
+      by ``_merge_points`` and the batched network kernel ``_fit_nn`` steps
+      on the distinct points with their counts, here for a single trial, so
+      a coverage trial's fit replays exactly through this call.  With every
+      point distinct the arithmetic is the one-fit loop's over (n, units)
+      arrays but for the order of the n-long sums: bit-equal with one unit,
+      within 1e-12 in the parameters after 300 steps with more.  Merged
+      points sum in another order again, within the same 1e-12.
     """
     if sample.responses is None:
         raise ValueError("erm_fit needs responses")
@@ -505,7 +507,8 @@ def erm_fit(
         if not isinstance(cls, NeuralNet):
             raise ValueError("projected_gd requires a NeuralNet class")
         x = sample.points.reshape(-1, cls.dim)
-        theta = _fit_nn(cls, x[None], targets[None], [init_seed])[0]
+        merged = (a[None] for a in _merge_points(x, targets))
+        theta = _fit_nn(cls, *merged, [init_seed])[0]
         return ERMResult(
             method=method,
             empirical_loss=float(np.sum((cls.predict(theta, x) - targets) ** 2)),
@@ -526,31 +529,56 @@ def _row_predictor(cls, params, row):
     return None  # explicit finite tables are only defined on their sample
 
 
-def _fit_nn(cls: NeuralNet, points: np.ndarray, targets: np.ndarray, init_seeds) -> np.ndarray:
-    """Projected gradient descent for T independent fits at once.
+def _merge_points(x: np.ndarray, targets: np.ndarray) -> tuple:
+    """One sample's distinct points (k, dim) in first-occurrence order, how
+    often each occurs and the sum of its targets, both (k,) floats from
+    ``np.bincount``.  With every point distinct these are the points, counts
+    of 1.0 and the targets (a sum starts at 0.0, so -0.0 gives 0.0)."""
+    _, first, inverse = np.unique(x, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = rank[inverse.ravel()]
+    return x[first[order]], np.bincount(ids).astype(float), np.bincount(ids, weights=targets)
 
-    ``points`` is (T, n, dim), ``targets`` (T, n), with one init seed per
-    fit; returns the (T, param_length) fitted parameters.  The step buffers
-    are units-major, (T, units, n), so every inner loop runs along the n
-    sample points.  Rows never mix: products are per-trial matmuls, the rest
-    is elementwise or sums along one trial's own rows, so row t is bit-equal
-    to the lone fit of trial t.  The n-long sums (``sig @ resid``, ``common
-    @ points`` and the bias gradient) run in another order than a one-fit
-    loop over (n, units) arrays: with one unit the result is bit-equal to
-    that loop, with more it agrees within 1e-12 in theta after 300 steps.
+
+def _fit_nn(cls: NeuralNet, points: np.ndarray, counts: np.ndarray, sums: np.ndarray,
+            init_seeds) -> np.ndarray:
+    """Projected gradient descent for T independent fits at once, each on its
+    sample's distinct points.
+
+    ``points`` is (T, k, dim); ``counts`` and ``sums`` (T, k) hold how often
+    each point occurs in its sample and the sum of its truncated targets, as
+    ``_merge_points`` gives them; one init seed per fit.  Returns the (T,
+    param_length) fitted parameters.  The loss is the squared loss over the
+    sample's n points (a row sum of ``counts``, one n for all fits): its
+    gradient takes the residual (c . sig + c0) * count - sum at each
+    distinct point, and steps are GD_STEP / n.  With every count 1.0 that is
+    the per-point residual bit for bit, as multiplying by 1.0 is exact;
+    merged points add their terms in another order, within 1e-12 in theta
+    after 300 steps.
+
+    The step buffers are units-major, (T, units, k), so every inner loop runs
+    along the k points.  Rows never mix: products are per-trial matmuls, the
+    rest is elementwise or sums along one trial's own rows, so row t is
+    bit-equal to the lone fit of trial t.  The k-long sums (``sig @ resid``,
+    ``common @ points`` and the bias gradient) run in another order than a
+    one-fit loop over (k, units) arrays: with one unit the result is
+    bit-equal to that loop, with more it agrees within 1e-12 in theta after
+    300 steps.
     """
     if cls.activation != "logistic":
         raise ValueError("projected_gd gradients are implemented for logistic only")
-    T, n, d = points.shape
+    T, k, d = points.shape
     N = cls.units
     a, b, c = np.empty((T, N, d)), np.empty((T, N)), np.zeros((T, N + 1))
     for t, seed in enumerate(init_seeds):
         rng = np.random.default_rng(seed)
         a[t] = rng.normal(0.0, 1.0, size=(N, d))
         b[t] = rng.normal(0.0, 0.5, size=N)
-    # buffers reused by every step: (2 units + 2) n floats per fit
-    z, common = np.empty((T, N, n)), np.empty((T, N, n))
-    resid, resid2 = np.empty((T, n)), np.empty((T, n))
+    # buffers reused by every step: (2 units + 2) k floats per fit
+    z, common = np.empty((T, N, k)), np.empty((T, N, k))
+    resid, resid2 = np.empty((T, k)), np.empty((T, k))
     grad_a, grad_c = np.empty((T, N, d)), np.empty((T, N + 1))
     # views made once, as per-call costs dominate a one-trial step; updates are in place
     points_t, a_t, z_t = points.transpose(0, 2, 1), a.transpose(0, 2, 1), z.transpose(0, 2, 1)
@@ -558,11 +586,11 @@ def _fit_nn(cls: NeuralNet, points: np.ndarray, targets: np.ndarray, init_seeds)
     resid_row, resid2_row, resid2_col = resid[:, None, :], resid2[:, None, :], resid2[:, :, None]
     grad_c0, grad_c_col, c_units = grad_c[:, 0], grad_c[:, 1:, None], c[:, 1:]
 
-    step = GD_STEP / n  # objective is a sum; scale keeps steps stable
+    step = GD_STEP / float(counts[0].sum())  # objective is a sum; scale keeps steps stable
     for _ in range(GD_ITERATIONS):
         if d == 1:  # the one-term matmul, exactly, at under half its cost
             np.multiply(a, points_t, out=z)
-        else:  # into the transposed view: the (n, units) product, bit for bit
+        else:  # into the transposed view: the (k, units) product, bit for bit
             np.matmul(points, a_t, out=z_t)
         z += b_col
         # clip to [-60, 60]; the two ufuncs cost less than np.clip's wrapper
@@ -572,7 +600,8 @@ def _fit_nn(cls: NeuralNet, points: np.ndarray, targets: np.ndarray, init_seeds)
         sig = np.divide(1.0, z, out=z)
         np.matmul(c_row, sig, out=resid_row)
         resid += c0
-        resid -= targets
+        resid *= counts
+        resid -= sums
         np.multiply(np.add.reduce(resid, axis=1), 2.0, out=grad_c0)
         np.multiply(resid, 2.0, out=resid2)
         np.matmul(sig, resid2_col, out=grad_c_col)
@@ -819,11 +848,17 @@ def coverage_experiment(config: dict) -> CoverageReport:
     bound = _read_field(config, "bound", str, "coverage")
     model = _read_field(config, "model", DataModel, "coverage")
     n = _read_field(config, "n", int, "coverage")
+    if n < 1:
+        raise ValueError(f"coverage: field 'n' must be >= 1, got {n}")
     trials = _read_field(config, "trials", int, "coverage")
     if trials < 100:
         raise ValueError(f"coverage: field 'trials' must be >= 100, got {trials}")
     delta = _read_field(config, "delta", float, "coverage")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"coverage: field 'delta' must lie in (0, 1), got {delta}")
     base_seed = _read_field(config, "base_seed", int | None, "coverage") or 0
+    if base_seed < 0:
+        raise ValueError(f"coverage: field 'base_seed' must be >= 0, got {base_seed}")
     # each returns the bound, statistic, details and work floats of _run_trials
     experiments = {
         "rademacher_ci": _experiment_rademacher_ci,
@@ -1003,6 +1038,8 @@ def _experiment_mixing_ci(config, model, n, delta):
         raise ValueError(f"coverage: field 'values' must have one column per chain state "
                          f"({P.shape[0]}), got {vals.shape[1]}")
     rate_r = _read_field(config, "rate_r", float, "coverage")
+    if rate_r <= 1.0:
+        raise ValueError(f"coverage: field 'rate_r' must be > 1, got {rate_r}")
     pi = stationary_distribution(P)
 
     m_hat = _block_count(n, delta, rate_r)
@@ -1060,7 +1097,14 @@ def _experiment_nn_ci(config, model, n, delta):
 
     def risk_and_residual(points, responses, _states, ts):
         targets = truncate(responses, cls.B)
-        thetas = _fit_nn(cls, points, targets, [1_000_003 + t for t in ts])
+        merged = [_merge_points(x, y) for x, y in zip(points, targets)]
+        groups = {}  # trials by distinct-point count: one fit each, rows in trial order
+        for i, (_, counts, _) in enumerate(merged):
+            groups.setdefault(len(counts), []).append(i)
+        thetas = np.empty((len(ts), cls.param_length))
+        for group in groups.values():
+            arrays = (np.stack(a) for a in zip(*(merged[i] for i in group)))
+            thetas[group] = _fit_nn(cls, *arrays, [1_000_003 + ts[i] for i in group])
         rows = []
         for theta, x, y in zip(thetas, points, targets):
             risk = excess_risk_exact(lambda pts: cls.predict(theta, pts), model, n)
@@ -1078,5 +1122,9 @@ def _experiment_nn_ci(config, model, n, delta):
             "mean_optimization_residual": None if truth is None else float(np.mean(residuals)),
         }
 
-    # per sample point: the targets, and the fit's 2 units + 2 buffers
-    return bound, risk_and_residual, details, 2 * cls.units + 3
+    # per sample point the targets; per distinct point (at most min(n, atoms))
+    # the merged arrays and their stacked copies, 2 (dim + 2), and the fit's
+    # 2 units + 2 buffers
+    k_max = min(n, model.covariates.n_states or n)  # n_states is 0 for uniform covariates
+    return bound, risk_and_residual, details, 1 + math.ceil(
+        (2 * (cls.units + cls.dim) + 6) * k_max / n)

@@ -180,6 +180,15 @@ class TestBoundCommand:
         assert code == 2
         assert "bound[refined_bound].entropy: field 'V' must be a number" in err
 
+    @pytest.mark.parametrize("B", [0, -1])
+    def test_nonpositive_entropy_range_is_named(self, tmp_path, capsys, B):
+        params = json.loads((REQUESTS / "bound_refined_bound.json").read_text())
+        params["inputs"]["entropy"]["B"] = B
+        code, out, err = run(tmp_path, capsys, "bound", params)
+        assert code == 2
+        assert out == ""
+        assert f"bound[refined_bound].entropy: field 'B' must be positive, got {float(B)}" in err
+
     def test_unknown_formula(self, tmp_path, capsys):
         params = {"formula": "psi_ci", "inputs": {}}
         code, _, err = run(tmp_path, capsys, "bound", params)
@@ -534,6 +543,13 @@ class TestEntropyCommand:
         assert o["kind"] == "vc"
         assert o["values"][0]["entropy"] == pytest.approx(5.426495087914157)
 
+    @pytest.mark.parametrize("name", ["entropy_vc_classify", "entropy_nn_classify"])
+    def test_nonpositive_range_is_named(self, tmp_path, capsys, name):
+        params = dict(json.loads((REQUESTS / f"{name}.json").read_text()), B=0.0)
+        code, out, err = run(tmp_path, capsys, "entropy", params)
+        assert code == 2
+        assert "entropy: field 'B' must be positive, got 0.0" in err
+
     def test_radius_list_and_classification(self, tmp_path, capsys):
         params = {
             "kind": "neural_net", "d": 1, "N": 1, "B": 1.0,
@@ -765,6 +781,42 @@ class TestCoverageCommand:
         assert code == 2
         assert out == ""
         assert message in err
+
+    # out-of-range numbers on the bench documents
+    @pytest.mark.parametrize("request_name,field,value,message", [
+        ("coverage_c7b", "n", 0, "coverage: field 'n' must be >= 1, got 0"),
+        ("coverage_c7a_iid", "n", -1, "coverage: field 'n' must be >= 1, got -1"),
+        ("coverage_c7c", "delta", 0, "coverage: field 'delta' must lie in (0, 1), got 0.0"),
+        ("coverage_c7c", "delta", -1, "coverage: field 'delta' must lie in (0, 1), got -1.0"),
+        ("coverage_c7a_iid", "delta", 1, "coverage: field 'delta' must lie in (0, 1), got 1.0"),
+        ("coverage_c7b", "base_seed", -1, "coverage: field 'base_seed' must be >= 0, got -1"),
+        ("coverage_c7c", "rate_r", 1, "coverage: field 'rate_r' must be > 1, got 1.0"),
+        ("coverage_c7c", "rate_r", 0, "coverage: field 'rate_r' must be > 1, got 0.0"),
+        ("coverage_c7c", "rate_r", -1, "coverage: field 'rate_r' must be > 1, got -1.0"),
+    ], ids=["n-zero", "n-negative", "delta-zero", "delta-negative", "delta-one",
+            "seed-negative", "rate_r-one", "rate_r-zero", "rate_r-negative"])
+    def test_out_of_range_field_is_named(self, tmp_path, capsys, request_name, field, value,
+                                         message):
+        params = json.loads((REQUESTS / f"{request_name}.json").read_text())
+        params[field] = value
+        code, out, err = run(tmp_path, capsys, "coverage", params)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_misspelt_noise_kind_is_named(self, tmp_path, capsys):
+        params = json.loads((REQUESTS / "coverage_c7b.json").read_text())
+        params["model"]["noise"] = {"knd": "discrete", "values": [0.3, -0.3], "probs": [0.5, 0.5]}
+        code, out, err = run(tmp_path, capsys, "coverage", params)
+        assert code == 2
+        assert out == ""
+        assert "coverage.model.noise: unknown fields: knd" in err
+
+    def test_negative_seed_option_is_named(self, tmp_path, capsys):
+        params = json.loads((REQUESTS / "coverage_c7b.json").read_text())
+        code, out, err = run(tmp_path, capsys, "coverage", params, extra=["--seed", "-1"])
+        assert code == 2
+        assert "coverage: field 'base_seed' must be >= 0, got -1" in err
 
     def test_network_report_is_strict_json_without_truth(self, tmp_path, capsys, monkeypatch):
         import riskbounds.simulate as sim

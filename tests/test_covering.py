@@ -171,6 +171,13 @@ class TestEntropyEstimate:
         est = EntropyEstimate.neural_net(d=1, N=1, B=1.0)
         assert est(0.25) == pytest.approx(nn_entropy(1, 1, 1.0, 0.25))
 
+    @pytest.mark.parametrize("B", [0.0, -1.0])
+    def test_nonpositive_range_refused_when_built(self, B):
+        with pytest.raises(ValueError, match="field 'B' must be positive"):
+            EntropyEstimate.vc(V=2, B=B)
+        with pytest.raises(ValueError, match="field 'B' must be positive"):
+            EntropyEstimate.neural_net(d=1, N=1, B=B)
+
     def test_out_of_range_call(self):
         est = EntropyEstimate.vc(V=2, B=1.0)
         with pytest.raises(ValueError, match="validity"):

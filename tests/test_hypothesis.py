@@ -299,6 +299,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^class\.grid: expected a JSON object"):
             class_from_json({"kind": "neural_net", "dim": 1, "units": 2, "B": 1.0, "grid": [1]})
 
+    def test_every_unknown_key_is_named(self):
+        net = {"kind": "neural_net", "dim": 1, "units": 2, "B": 1.0}
+        assert class_from_json(net) == NeuralNet(dim=1, units=2, B=1.0)  # the tag is no field
+        with pytest.raises(ValueError, match="^class: unknown fields: unit, modes$"):
+            class_from_json({**net, "unit": 3, "modes": "joint"})
+        with pytest.raises(ValueError, match=r"^class\.grid: unknown fields: axis$"):
+            class_from_json({**net, "grid": {"axis": [[0.0, 1.0]]}})
+
 
 # ---------------------------------------------------------------------------
 # JSON documents: the field-driven codec against the hand-written one it

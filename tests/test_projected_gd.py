@@ -6,8 +6,12 @@ loop's arithmetic on (T, n, units) buffers.  The units-major kernel keeps
 that arithmetic except the order of its n-long sums.  With one unit the
 order is unchanged and every comparison demands bit-for-bit equality; with
 more units the fitted parameters must agree within ``THETA_ATOL`` after
-300 steps.  A batch row against its lone fit, the chunking of a report and
-the l1 projection are still compared bit for bit.
+300 steps.  The kernel steps on a sample's distinct points with their
+counts and target sums: on all-distinct points (counts of 1.0) that is the
+per-point arithmetic bit for bit, and on repeated points it must agree with
+the per-point fit within ``THETA_ATOL``.  A batch row against its lone fit,
+the chunking of a report and the l1 projection are still compared bit for
+bit.
 """
 
 import tracemalloc
@@ -161,6 +165,21 @@ def fit_problems(draw):
     return cls, points, targets, seeds
 
 
+@st.composite
+def repeated_point_problems(draw):
+    """Samples drawn from a few atoms, so most points repeat."""
+    cls, points, targets, seeds = draw(fit_problems())
+    T, n, dim = points.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.uniform(-2.0, 2.0, size=(draw(st.integers(1, 4)), dim))
+    return cls, atoms[rng.integers(len(atoms), size=(T, n))], targets, seeds
+
+
+def per_point_form(x, targets):
+    """``_merge_points``'s output with every point kept: counts 1.0, sums the targets."""
+    return x, np.ones(len(x)), targets
+
+
 class TestL1Projection:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -192,7 +211,7 @@ class TestBatchedFit:
         cls, points, targets, seeds = problem
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "GD_ITERATIONS", 300)
-            batch = sim._fit_nn(cls, points, targets, seeds)
+            batch = sim._fit_nn(cls, points, np.ones_like(targets), targets, seeds)
             for t in range(len(seeds)):
                 want = scalar_fit_nn(cls, points[t], targets[t], seeds[t])
                 assert_same_fit(cls, batch[t], want)
@@ -203,7 +222,7 @@ class TestBatchedFit:
         cls, points, targets, seeds = problem
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "GD_ITERATIONS", 300)
-            batch = sim._fit_nn(cls, points, targets, seeds)
+            batch = sim._fit_nn(cls, points, np.ones_like(targets), targets, seeds)
             want = trial_major_fit_nn(cls, points, targets, seeds)
         for t in range(len(seeds)):
             assert_same_fit(cls, batch[t], want[t])
@@ -214,7 +233,7 @@ class TestBatchedFit:
         cls, points, targets, seeds = problem
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "GD_ITERATIONS", 300)
-            batch = sim._fit_nn(cls, points, targets, seeds)
+            batch = sim._fit_nn(cls, points, np.ones_like(targets), targets, seeds)
             for t in range(len(seeds)):
                 sample = SequentialSample(points=points[t], responses=targets[t])
                 fit = erm_fit(cls, sample, method="projected_gd", init_seed=seeds[t])
@@ -222,6 +241,47 @@ class TestBatchedFit:
                 loss = float(np.sum((cls.predict(batch[t], points[t]) - targets[t]) ** 2))
                 assert fit.empirical_loss == loss
                 assert fit.iterations == 300
+
+
+class TestMergedFit:
+    @settings(max_examples=50, deadline=None)
+    @given(problem=repeated_point_problems())
+    def test_merge_points(self, problem):
+        _, points, targets, _ = problem
+        for x, y in zip(points, targets):
+            merged, counts, sums = sim._merge_points(x, y)
+            firsts = []
+            for i, p in enumerate(x):
+                if not any(np.array_equal(p, x[j]) for j in firsts):
+                    firsts.append(i)
+            assert_bits_equal(merged, x[firsts])  # first-occurrence order
+            for point, count, total in zip(merged, counts, sums):
+                same = np.all(x == point, axis=1)
+                assert count == same.sum()
+                assert total == pytest.approx(y[same].sum(), abs=1e-12)
+            assert counts.sum() == len(x)
+
+    def test_merge_points_keeps_distinct_points(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-1.0, 1.0, size=(20, 2)), rng.uniform(-1.0, 1.0, size=20)
+        merged, counts, sums = sim._merge_points(x, y)
+        assert_bits_equal(merged, x)
+        assert_bits_equal(counts, np.ones(20))
+        assert_bits_equal(sums, y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=repeated_point_problems())
+    def test_matches_per_point_fit(self, problem):
+        cls, points, targets, seeds = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "GD_ITERATIONS", 300)
+            per_point = sim._fit_nn(cls, points, np.ones_like(targets), targets, seeds)
+            for t in range(len(seeds)):
+                sample = SequentialSample(points=points[t], responses=targets[t])
+                fit = erm_fit(cls, sample, method="projected_gd", init_seed=seeds[t])
+                assert np.max(np.abs(fit.coeffs - per_point[t])) <= THETA_ATOL
+                want = scalar_fit_nn(cls, points[t], targets[t], seeds[t])
+                assert np.max(np.abs(fit.coeffs - want)) <= THETA_ATOL
 
 
 TRUTH = np.array([2.0, 0.0, 0.0, 0.0, -0.5, 1.0, 0.0])
@@ -268,7 +328,7 @@ RAD_CONFIG = {
 
 
 class TestTrialChunks:
-    # one trial per chunk; chunks of 7 trials (96 bytes per point, n = 12)
+    # one trial per chunk; chunks of 10 trials (72 bytes per point, n = 12)
     @pytest.mark.parametrize("budget", [1, 9000])
     def test_network_report_independent_of_chunks(self, monkeypatch, budget):
         monkeypatch.setattr(sim, "GD_ITERATIONS", 40)
@@ -294,23 +354,64 @@ class TestTrialChunks:
             risk = sim.excess_risk_exact(fit.predict, model, 12)
             assert risk == report.details["per_trial"][t]
 
+    def test_trials_of_several_point_counts_replay_through_erm_fit(self, monkeypatch):
+        # n = 12 draws from 5 atoms miss one in about a third of the trials,
+        # so the chunk's fits run in several groups of equal distinct-point count
+        monkeypatch.setattr(sim, "GD_ITERATIONS", 40)
+        config = nn_config()
+        report = coverage_experiment(config)
+        model = sim.model_from_json(config["model"])
+        seeds = [np.random.SeedSequence([4, t]) for t in range(100)]
+        _, _, states = sim._draw_trials(model, 12, seeds)
+        assert len({len(set(row)) for row in states.tolist()}) >= 2
+        for t in range(100):
+            sample = sim.generate(model, 12, seeds[t])
+            fit = erm_fit(config["class"], sample, method="projected_gd",
+                          init_seed=1_000_003 + t)
+            risk = sim.excess_risk_exact(fit.predict, model, 12)
+            assert risk == report.details["per_trial"][t]
+
     def test_report_matches_trial_major_kernel(self, monkeypatch):
         monkeypatch.setattr(sim, "GD_ITERATIONS", 40)
         config = nn_config()
         got = coverage_experiment(config).details
-        monkeypatch.setattr(sim, "_fit_nn", trial_major_fit_nn)
+
+        def trial_major(cls, points, counts, sums, init_seeds):
+            assert np.all(counts == 1.0)
+            return trial_major_fit_nn(cls, points, sums, init_seeds)
+
+        monkeypatch.setattr(sim, "_merge_points", per_point_form)
+        monkeypatch.setattr(sim, "_fit_nn", trial_major)
         want = coverage_experiment(config).details
         assert got["failed_trials"] == want["failed_trials"]
         np.testing.assert_allclose(got["per_trial"], want["per_trial"], rtol=1e-9, atol=0)
 
 
+def chunk_peak(cls, model, n, T=50):
+    """The statistic's tracemalloc peak on one chunk of T trials, with its draws,
+    and the work floats it declares.  A one-trial call first makes the lazy
+    imports (numpy.polynomial for uniform covariates), which are no chunk's."""
+    _, statistic, _, work_floats = sim._experiment_nn_ci({"class": cls}, model, n, 0.1)
+    statistic(*sim._draw_trials(model, n, [0]), range(1))
+    tracemalloc.start()
+    try:
+        draws = sim._draw_trials(model, n, [np.random.SeedSequence([0, t]) for t in range(T)])
+        statistic(*draws, range(T))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, work_floats
+
+
 class TestMemoryBudget:
+    # one chunk of trials holds its batched draws and the statistic's targets,
+    # merged points and fit buffers: _run_trials budgets (dim + 2 +
+    # work_floats) float64s per sample point.  The slack covers numpy's 64 KiB
+    # ufunc buffer and about 1 KiB of objects per trial (measured: 124 KB in
+    # all); one uncounted float per point would add 160 KB.
+    SLACK = 192 * 1024
+
     def test_chunk_peak_within_work_floats(self, monkeypatch):
-        # one chunk of trials holds its batched draws and the statistic's
-        # targets and fit buffers: _run_trials budgets (dim + 2 + work_floats)
-        # float64s per sample point.  The slack covers numpy's 64 KiB ufunc
-        # buffer and about 1 KiB of objects per trial (measured: 124 KB in
-        # all); one uncounted float per point would add 160 KB.
         monkeypatch.setattr(sim, "GD_ITERATIONS", 5)
         T, n = 50, 400
         cls = NeuralNet(dim=3, units=3, B=1.5, mode="joint")
@@ -323,12 +424,21 @@ class TestMemoryBudget:
             "mean": {"kind": "atom_table", "values": np.sin(atoms.sum(axis=1)).tolist()},
             "noise": {"kind": "uniform", "half_width": 0.2},
         })
-        _, statistic, _, work_floats = sim._experiment_nn_ci({"class": cls}, model, n, 0.1)
-        tracemalloc.start()
-        try:
-            draws = sim._draw_trials(model, n, [np.random.SeedSequence([0, t]) for t in range(T)])
-            statistic(*draws, range(T))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * T * n * (work_floats + cls.dim + 2) + 192 * 1024, peak
+        peak, work_floats = chunk_peak(cls, model, n, T)
+        assert work_floats < 2 * cls.units + 3  # the fit runs on at most 8 points
+        assert peak <= 8 * T * n * (work_floats + cls.dim + 2) + self.SLACK, peak
+
+    def test_all_distinct_points_within_work_floats(self, monkeypatch):
+        # uniform covariates: every point distinct, the budget's worst case
+        monkeypatch.setattr(sim, "GD_ITERATIONS", 5)
+        T, n = 50, 400
+        cls = NeuralNet(dim=1, units=3, B=1.5, mode="joint")
+        model = sim.model_from_json({
+            "kind": "iid",
+            "B": 1.5,
+            "covariates": {"kind": "uniform", "low": -1.0, "high": 1.0},
+            "mean": {"kind": "affine", "coeffs": [0.1, 0.5]},
+            "noise": {"kind": "uniform", "half_width": 0.2},
+        })
+        peak, work_floats = chunk_peak(cls, model, n, T)
+        assert peak <= 8 * T * n * (work_floats + cls.dim + 2) + self.SLACK, peak

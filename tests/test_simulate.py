@@ -988,6 +988,19 @@ class TestModelDocuments:
         with pytest.raises(ValueError, match=r"^model\.covariates: missing required fields: kind$"):
             model_from_json({"kind": "iid", "B": 1.0, "covariates": {"low": 0.0}})
 
+    def test_every_unknown_key_is_named(self):
+        base = {"kind": "iid", "B": 1.0, "covariates": {"kind": "uniform"}}
+        with pytest.raises(ValueError, match="^model: unknown fields: extra, Bee$"):
+            model_from_json({**base, "extra": 1, "Bee": 2.0})
+        with pytest.raises(ValueError, match=r"^model\.covariates: unknown fields: hi$"):
+            model_from_json({**base, "covariates": {"kind": "uniform", "hi": 2.0}})
+        # a misspelt kind no longer reads as the default noise-free model
+        noise = {"knd": "discrete", "values": [0.3, -0.3], "probs": [0.5, 0.5]}
+        with pytest.raises(ValueError, match=r"^model\.noise: unknown fields: knd$"):
+            model_from_json({**base, "noise": noise})
+        with pytest.raises(ValueError, match=r"^model\.noise: unknown fields: a$"):
+            model_from_json({**base, "noise": {"a": 1}})
+
 
 class TestReportDocument:
     @pytest.mark.parametrize("bound", ["rademacher_ci", "mixing_rademacher_ci",
