@@ -4,6 +4,12 @@ Every subcommand reads a JSON parameter document (--params), computes, and
 emits a result envelope {inputs_echo, outputs, version, seed} as JSON (or
 CSV rows with --format csv) to stdout or --out.
 
+``main`` may be called any number of times in one process.  The argument
+parser is built on the first call and reused by every later one, so an
+in-process request pays only for its own parsing and computation; a fresh
+process builds it once, as before.  Commands still dispatch through
+``_COMMANDS`` when each request runs.
+
 Exit codes: 0 success; 2 a ValueError from a field reader or a domain check
 (invalid or missing parameters, non-finite numbers included; the message
 names the offending field) or an OSError; 1 any other exception while
@@ -12,6 +18,7 @@ cannot carry.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,7 +49,7 @@ from .mixing import (
     sample_chain,
     stationary_distribution,
 )
-from .rademacher import massart_bound, rademacher_exact, rademacher_mc
+from .rademacher import EXACT_MAX_N, massart_bound, rademacher_exact, rademacher_mc
 from .simulate import _trial_chunks, coverage_experiment
 
 __all__ = ["main"]
@@ -77,6 +84,15 @@ def _load_table(doc: dict, where: str) -> FunctionTable:
     if "csv" in source:
         return FunctionTable(np.loadtxt(source["csv"], delimiter=",", ndmin=2))
     raise ValueError(f"{where}: provide 'values' (inline rows) or 'csv' (path)")
+
+
+def _generator_seed(seed: int | None, where: str) -> int:
+    """The --seed option as a random-generator seed: 0 when absent."""
+    if seed is None:
+        return 0
+    if seed < 0:
+        raise ValueError(f"{where}: option '--seed' must be >= 0, got {seed}")
+    return seed
 
 
 def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
@@ -221,11 +237,17 @@ def _cmd_rademacher(doc, seed):
         raise ValueError(f"rademacher: field 'mode' must be auto, exact or monte_carlo, "
                          f"got {mode!r}")
     if mode == "auto":
-        mode = "exact" if table.n <= 24 else "monte_carlo"
+        mode = "exact" if table.n <= EXACT_MAX_N else "monte_carlo"
     if mode == "exact":
+        if table.n > EXACT_MAX_N:
+            source = "values" if "values" in doc else "csv"
+            raise ValueError(f"rademacher: field 'mode' is exact, which enumerates at most "
+                             f"{EXACT_MAX_N} columns, but the table in field {source!r} has "
+                             f"{table.n}; use mode: monte_carlo")
         est = rademacher_exact(table)
     else:
-        est = rademacher_mc(table, draws=opts.get("draws", 1000), seed=0 if seed is None else seed)
+        est = rademacher_mc(table, draws=opts.get("draws", 1000),
+                            seed=_generator_seed(seed, "rademacher"))
     return {
         "value": est.value,
         "std_error": est.std_error,
@@ -288,6 +310,7 @@ def _cmd_mixing_demo(doc, seed):
     h_vals = opts.get("h_values", np.array([1.0 if i % 2 == 0 else -1.0 for i in range(len(P))]))
     if h_vals.shape != (len(P),):
         raise ValueError("mixing-demo: field 'h_values' must hold one number per state")
+    seed = _generator_seed(seed, "mixing-demo")
 
     pi = stationary_distribution(P)
     m = choose_block_size(n, delta, rate_r)
@@ -308,7 +331,7 @@ def _cmd_mixing_demo(doc, seed):
     # trial t draws from SeedSequence([base_seed, t]), as coverage trials do; a
     # trial's working memory is its uniforms, states and h values: 24 n bytes
     devs = np.empty(trials)
-    for ts, seeds in _trial_chunks(trials, 0 if seed is None else seed, 24 * n):
+    for ts, seeds in _trial_chunks(trials, seed, 24 * n):
         states = sample_chain(P, n, [np.random.default_rng(s) for s in seeds])
         devs[ts.start : ts.stop] = n * mean_h - h_vals[states].sum(axis=1)
 
@@ -399,7 +422,13 @@ def _emit(envelope: dict, fmt: str, out: str | None, csv_rows):
         print(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    Parsing keeps no state in the parser: each ``parse_args`` fills a fresh
+    namespace, and help and errors are formatted when they are printed.  It
+    is built lazily, not at import, so importing the module stays cheap."""
     parser = argparse.ArgumentParser(
         prog="riskbounds",
         description="Finite-sample risk bounds: evaluate interval formulas, "

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shutil
@@ -463,6 +464,52 @@ class TestTopLevel:
         assert proc.stdout.strip() == __version__
 
 
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process request."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse exits on --help, --version and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+BOUND_REQUEST = ["bound", "--params", str(REQUESTS / "bound_rademacher_ci.json")]
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        cli.main(BOUND_REQUEST)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (BOUND_REQUEST, ["optimize-constants"], BOUND_REQUEST + ["--seed", "3"]):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [BOUND_REQUEST + ["--threads", "8"], ["--version"], [], ["--help"],
+         ["bound", "--params", str(REQUESTS / "invalid_not_a_number.json")],
+         *([name, "--help"] for name in cli._COMMANDS)],
+        ids=["usage-error", "version", "no-subcommand", "help", "failing-request",
+             *(f"help-{name}" for name in cli._COMMANDS)],
+    )
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            fresh = [outcome(capsys, argv), outcome(capsys, BOUND_REQUEST)]
+        reused = [outcome(capsys, argv), outcome(capsys, BOUND_REQUEST)]
+        assert reused == fresh
+        assert fresh[1][0] == 0
+
+
 class TestRademacherCommand:
     def test_exact_auto(self, tmp_path, capsys):
         params = {"values": [[1.0, 0.0], [0.0, 1.0]]}
@@ -507,6 +554,21 @@ class TestRademacherCommand:
         )
         assert code == 2
         assert "mode" in err
+
+    def test_exact_beyond_limit_names_the_fields(self, tmp_path, capsys):
+        params = {"values": [[0.0] * 30], "mode": "exact"}
+        code, out, err = run(tmp_path, capsys, "rademacher", params)
+        assert code == 2
+        assert out == ""
+        assert ("rademacher: field 'mode' is exact, which enumerates at most 24 columns, "
+                "but the table in field 'values' has 30; use mode: monte_carlo") in err
+
+    def test_negative_seed_option_is_named(self, tmp_path, capsys):
+        params = {"values": [[1.0, 0.0], [0.0, 1.0]], "mode": "monte_carlo"}
+        code, out, err = run(tmp_path, capsys, "rademacher", params, extra=["--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "rademacher: option '--seed' must be >= 0, got -1" in err
 
 
 class TestCoverCommand:
@@ -642,6 +704,12 @@ class TestMixingDemoCommand:
         assert code == 2
         assert out == ""
         assert "no unique stationary law" in err
+
+    def test_negative_seed_option_is_named(self, tmp_path, capsys):
+        code, out, err = run(tmp_path, capsys, "mixing-demo", self.PARAMS, extra=["--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "mixing-demo: option '--seed' must be >= 0, got -1" in err
 
     def test_deterministic_given_seed(self, tmp_path, capsys):
         _, out1, _ = run(tmp_path, capsys, "mixing-demo", self.PARAMS, extra=["--seed", "2"])
