@@ -35,13 +35,13 @@ def main():
 
     print("\nheadline bound at the optimized constants (B=1, delta=0.05):")
     for n in (10**3, 10**4, 10**5, 10**6):
-        val = optimized_bound(n=n, B=1.0, delta=0.05, log_cover_at_0094=0.0)
+        val = optimized_bound(n=n, B=1.0, delta=0.05, log_cover=0.0)
         print(f"  n={n:<8d} -> {val:.6f}")
 
     print("\nsmall-lambda regime (lambda=13/12) for comparison:")
     for n in (10**3, 10**4, 10**5, 10**6):
         val = small_lambda_bound(
-            n=n, B=1.0, delta=0.05, lam=13.0 / 12.0, log_cover_at_B_24n=0.0
+            n=n, B=1.0, delta=0.05, lam=13.0 / 12.0, log_cover=0.0
         )
         print(f"  n={n:<8d} -> {val:.6f}")
 

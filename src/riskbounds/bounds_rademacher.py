@@ -133,11 +133,12 @@ def rademacher_ci(inputs: RademacherCIInputs) -> float:
 
 
 def rademacher_ci_massart(
-    n: int, env: float, delta: float, r: float, mean_sqrt_log_cover: float
+    n: int, envelope_l2_sup: float, delta: float, r: float, mean_sqrt_log_cover: float
 ) -> float:
     """Interval width with the complexity replaced by a cover bound.
 
-    2 (r + env (sqrt(2 log(2/delta)) + mean_sqrt_log_cover)) where
+    2 (r + env (sqrt(2 log(2/delta)) + mean_sqrt_log_cover)) with env =
+    ``envelope_l2_sup``, where
     ``mean_sqrt_log_cover`` = E sqrt(2 log N1(., r/n)) is supplied by the
     caller, either as a Monte-Carlo plug-in of greedy-cover logs or as
     sqrt(2 L(r/n)) from an entropy estimate (conservative by Jensen).
@@ -146,9 +147,10 @@ def rademacher_ci_massart(
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    if r < 0 or env < 0 or mean_sqrt_log_cover < 0:
-        raise ValueError("r, env and mean_sqrt_log_cover must be nonnegative")
-    return 2.0 * (r + env * (math.sqrt(2.0 * math.log(2.0 / delta)) + mean_sqrt_log_cover))
+    if r < 0 or envelope_l2_sup < 0 or mean_sqrt_log_cover < 0:
+        raise ValueError("r, envelope_l2_sup and mean_sqrt_log_cover must be nonnegative")
+    return 2.0 * (r + envelope_l2_sup * (math.sqrt(2.0 * math.log(2.0 / delta))
+                                         + mean_sqrt_log_cover))
 
 
 def nn_generalization_ci(

@@ -62,18 +62,13 @@ SMALL_LAMBDA_MAX = 13.0 / 12.0
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Parameter bundle (n, B, delta, c, lam) feeding the bound formulas.
-
-    eta and eta_prime are only consumed by the unbounded-response interval.
-    """
+    """Parameter bundle (n, B, delta, c, lam) feeding the bound formulas."""
 
     n: int
     B: float
     delta: float
     c: float
     lam: float
-    eta: float | None = None
-    eta_prime: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -86,9 +81,6 @@ class BoundParams:
             raise ValueError(f"c must exceed 1, got {self.c}")
         if self.lam <= 1:
             raise ValueError(f"lambda must exceed 1, got {self.lam}")
-        for name, val in (("eta", self.eta), ("eta_prime", self.eta_prime)):
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive, got {val}")
 
 
 def _q_values(lam: float | np.ndarray) -> tuple:
@@ -348,17 +340,17 @@ def optimize_v() -> OptimizedConstants:
     return OptimizedConstants(c0=c_best, lambda0=l_best, V0=v0, radius_coeff=coeff)
 
 
-def optimized_bound(n: int, B: float, delta: float, log_cover_at_0094: float) -> float:
+def optimized_bound(n: int, B: float, delta: float, log_cover: float) -> float:
     """Headline bound 3292 (B^2/n)(1 + log(1/delta) + log_cover).
 
-    The cover log must be evaluated at radius ~0.094 B/n (exactly
+    ``log_cover`` must be the cover log at radius ~0.094 B/n (exactly
     radius_coeff * B/n with the coefficient from optimize_v).
     """
     if n < 1 or B <= 0 or not (0 < delta < 1):
         raise ValueError("need n >= 1, B > 0, delta in (0,1)")
-    if log_cover_at_0094 < 0:
+    if log_cover < 0:
         raise ValueError("log cover must be nonnegative")
-    return 3292.0 * (B * B / n) * (1.0 + math.log(1.0 / delta) + log_cover_at_0094)
+    return 3292.0 * (B * B / n) * (1.0 + math.log(1.0 / delta) + log_cover)
 
 
 def lambda_sum_coefficient(lam: float) -> float:
@@ -369,23 +361,21 @@ def lambda_sum_coefficient(lam: float) -> float:
     return (lam - 1.0) * (q1 + q2 + q3)
 
 
-def small_lambda_bound(
-    n: int, B: float, delta: float, lam: float, log_cover_at_B_24n: float
-) -> float:
+def small_lambda_bound(n: int, B: float, delta: float, lam: float, log_cover: float) -> float:
     """Bound in the lambda -> 1 regime (implicit c=2), valid on (1, 13/12]:
 
     (64/(lambda-1)) (B^2/n)(log 42 + log(1/delta) + log_cover).
 
-    The cover log must be evaluated at radius B/(24 n).
+    ``log_cover`` must be the cover log at radius B/(24 n).
     """
     if not (1.0 < lam <= SMALL_LAMBDA_MAX):
         raise ValueError(f"lambda must lie in (1, 13/12], got {lam}")
     if n < 1 or B <= 0 or not (0 < delta < 1):
         raise ValueError("need n >= 1, B > 0, delta in (0,1)")
-    if log_cover_at_B_24n < 0:
+    if log_cover < 0:
         raise ValueError("log cover must be nonnegative")
     return (64.0 / (lam - 1.0)) * (B * B / n) * (
-        math.log(42.0) + math.log(1.0 / delta) + log_cover_at_B_24n
+        math.log(42.0) + math.log(1.0 / delta) + log_cover
     )
 
 
@@ -439,7 +429,12 @@ def bounded_class_ci(params: BoundParams, inf_risk: float, log_a: float) -> floa
 
 
 def unbounded_response_ci(
-    params: BoundParams, inf_risk_Phi: float, tail_term: float, bounded_ci_tail: float
+    params: BoundParams,
+    eta: float,
+    eta_prime: float,
+    inf_risk_Phi: float,
+    tail_term: float,
+    bounded_ci_tail: float,
 ) -> float:
     """Lift of the bounded-class interval to unbounded responses.
 
@@ -449,14 +444,14 @@ def unbounded_response_ci(
     where tail_term = (1/n) sum_k E[(|W_k| - B)^2 1{|W_k| > B}] quantifies
     how much of the response distribution the truncation discards.
     """
-    if params.eta is None or params.eta_prime is None:
-        raise ValueError("params.eta and params.eta_prime are required here")
+    for name, val in (("eta", eta), ("eta_prime", eta_prime)):
+        if val <= 0:
+            raise ValueError(f"{name} must be positive, got {val}")
     if inf_risk_Phi < 0 or tail_term < 0 or bounded_ci_tail < 0:
         raise ValueError("risk and tail inputs must be nonnegative")
-    eta, etp, lam = params.eta, params.eta_prime, params.lam
-    factor = 6.0 * lam - 5.0
-    return (1.0 + eta) * ((1.0 + etp) * factor * inf_risk_Phi + bounded_ci_tail) + (
-        (1.0 + 1.0 / eta) + (1.0 + eta) * (1.0 + 1.0 / etp) * factor
+    factor = 6.0 * params.lam - 5.0
+    return (1.0 + eta) * ((1.0 + eta_prime) * factor * inf_risk_Phi + bounded_ci_tail) + (
+        (1.0 + 1.0 / eta) + (1.0 + eta) * (1.0 + 1.0 / eta_prime) * factor
     ) * tail_term
 
 

@@ -22,8 +22,9 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
+from types import MappingProxyType, ModuleType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,15 +32,9 @@ import numpy as np
 from . import __version__
 from . import bounds_rademacher as br
 from . import bounds_vc as bv
-from .covering import (
-    EntropyEstimate,
-    classify_entropy,
-    exact_cover_size,
-    greedy_cover,
-    nn_entropy,
-    vc_entropy,
-)
-from .hypothesis import FunctionTable, _kinds, _read_field, _read_fields
+from . import covering
+from .covering import EntropyEstimate, classify_entropy, exact_cover_size, greedy_cover
+from .hypothesis import FunctionTable, _kinds, _read_document, _read_field, _read_fields
 from .mixing import (
     _check_stochastic,
     block_indices,
@@ -108,98 +103,56 @@ def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
 
 
 # ---------------------------------------------------------------------------
-# the `bound` formula table
+# the `bound` formulas
 
 
-class _Formula(NamedTuple):
-    """A `bound` formula: its callable, output keys and typed input fields.
-
-    Field kinds are those of `_read_field`; a `| None` field is optional and,
-    when absent, left to the library default. `params` fields are read into
-    the BoundParams passed as `params`. Each callable looks its library
-    function up when it runs and renames differing keywords.
-    """
-
-    call: Callable
-    outputs: tuple
-    fields: dict
-    params: dict = {}
+def _epsilon_n(params: bv.BoundParams) -> tuple:
+    return bv.epsilon_n(params), bv.epsilon_n_upper(params)
 
 
-_PARAMS = _kinds(bv.BoundParams)
+def _refined_bound(n: int, B_n: float, delta: float, c_n: float, entropy: dict) -> float:
+    estimate = _entropy_from_doc(entropy, "bound[refined_bound].entropy")
+    return bv.refined_bound(n, B_n, delta, c_n, estimate)
 
+
+# formula -> (where its function lives, output keys). A module's function is
+# looked up by the formula's name when each request runs; the function's
+# parameters are the formula's input fields (see `_formula_fields`).
 _FORMULAS = {
-    "deviation_tail": _Formula(
-        lambda **kw: br.deviation_tail(**kw), ("tail",),
-        {"epsilon": float, "envelope_l2_sup": float, "nonnegative": bool | None},
-    ),
-    "single_hypothesis_tail": _Formula(
-        lambda **kw: br.single_hypothesis_tail(**kw), ("tail",),
-        {"eta": float, "h_l2_sup": float},
-    ),
-    "conditional_k_bound": _Formula(
-        lambda **kw: br.conditional_k_bound(**kw), ("threshold", "tail"),
-        {"epsilon": float, "eta": float, "k": int, "n": int, "envelope_l2_sup": float,
-         "rad": float, "single_tail": float},
-    ),
-    "rademacher_ci": _Formula(
-        lambda **kw: br.rademacher_ci(br.RademacherCIInputs(**kw)), ("width",),
-        _kinds(br.RademacherCIInputs),
-    ),
-    "rademacher_ci_massart": _Formula(
-        lambda envelope_l2_sup, **kw: br.rademacher_ci_massart(env=envelope_l2_sup, **kw),
-        ("width",),
-        {"n": int, "envelope_l2_sup": float, "delta": float, "r": float,
-         "mean_sqrt_log_cover": float},
-    ),
-    "nn_generalization_ci": _Formula(
-        lambda **kw: br.nn_generalization_ci(**kw), ("width",),
-        {"n": int, "d": int, "B": float, "delta": float, "improved": bool | None,
-         "units": int | None},
-    ),
-    "mixing_rademacher_ci": _Formula(
-        lambda **kw: br.mixing_rademacher_ci(**kw), ("width",),
-        {"n": int, "delta": float, "rate_r": float, "max_block_env": float,
-         "max_block_rad": float},
-    ),
-    "vc_entropy": _Formula(
-        lambda **kw: vc_entropy(**kw), ("entropy",), {"V": int, "B": float, "r": float},
-    ),
-    "nn_entropy": _Formula(
-        lambda **kw: nn_entropy(**kw), ("entropy",),
-        {"d": int, "N": int, "B": float, "r": float},
-    ),
-    "epsilon_n": _Formula(
-        lambda params: (bv.epsilon_n(params), bv.epsilon_n_upper(params)),
-        ("epsilon_n", "upper"), {}, _PARAMS,
-    ),
-    "optimized_bound": _Formula(
-        lambda log_cover, **kw: bv.optimized_bound(log_cover_at_0094=log_cover, **kw),
-        ("bound",), {"n": int, "B": float, "delta": float, "log_cover": float},
-    ),
-    "small_lambda_bound": _Formula(
-        lambda log_cover, **kw: bv.small_lambda_bound(log_cover_at_B_24n=log_cover, **kw),
-        ("bound",), {"n": int, "B": float, "delta": float, "lam": float, "log_cover": float},
-    ),
-    "refined_bound": _Formula(
-        lambda entropy, **kw: bv.refined_bound(
-            entropy=_entropy_from_doc(entropy, "bound[refined_bound].entropy"), **kw),
-        ("bound",), {"n": int, "B_n": float, "delta": float, "c_n": float, "entropy": dict},
-    ),
-    "bounded_class_ci": _Formula(
-        lambda **kw: bv.bounded_class_ci(**kw), ("width",),
-        {"inf_risk": float, "log_a": float}, _PARAMS,
-    ),
-    "unbounded_response_ci": _Formula(
-        lambda **kw: bv.unbounded_response_ci(**kw), ("width",),
-        {"inf_risk_Phi": float, "tail_term": float, "bounded_ci_tail": float},
-        {**_PARAMS, "eta": float, "eta_prime": float},
-    ),
-    "vc_mixing_second_term": _Formula(
-        lambda params, **kw: bv.vc_mixing_second_term(params.n, params.delta, params=params, **kw),
-        ("value",), {"rate_r": float, "log_a_star": float}, _PARAMS,
-    ),
+    "deviation_tail": (br, ("tail",)),
+    "single_hypothesis_tail": (br, ("tail",)),
+    "conditional_k_bound": (br, ("threshold", "tail")),
+    "rademacher_ci": (br, ("width",)),
+    "rademacher_ci_massart": (br, ("width",)),
+    "nn_generalization_ci": (br, ("width",)),
+    "mixing_rademacher_ci": (br, ("width",)),
+    "vc_entropy": (covering, ("entropy",)),
+    "nn_entropy": (covering, ("entropy",)),
+    "epsilon_n": (_epsilon_n, ("epsilon_n", "upper")),
+    "optimized_bound": (bv, ("bound",)),
+    "small_lambda_bound": (bv, ("bound",)),
+    "refined_bound": (_refined_bound, ("bound",)),
+    "bounded_class_ci": (bv, ("width",)),
+    "unbounded_response_ci": (bv, ("width",)),
+    "vc_mixing_second_term": (bv, ("value",)),
 }
+
+
+def _formula_function(formula: str) -> Callable:
+    home = _FORMULAS[formula][0]
+    return getattr(home, formula) if isinstance(home, ModuleType) else home
+
+
+@functools.cache
+def _formula_fields(formula: str) -> MappingProxyType:
+    """Each input field of ``formula`` by its `_read_field` kind: the fields of
+    its function's dataclass parameters first, then its other parameters. A
+    ``| None`` field is optional and, when absent, left to the default."""
+    kinds = _kinds(_formula_function(formula))
+    nested = [_kinds(kind) for kind in kinds.values() if is_dataclass(kind)]
+    own = {name: kind for name, kind in kinds.items() if not is_dataclass(kind)}
+    return MappingProxyType({name: kind for group in (*nested, own)
+                             for name, kind in group.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +165,23 @@ def _cmd_bound(doc, seed):
         known = ", ".join(sorted(_FORMULAS))
         raise ValueError(f"bound: unknown formula {formula!r}; known formulas: {known}")
     inputs = _read_field(doc, "inputs", dict, "bound")
-    spec = _FORMULAS[formula]
     where = f"bound[{formula}]"
-    kwargs = _read_fields(inputs, {**spec.params, **spec.fields}, where)
-    if spec.params:
-        kwargs["params"] = bv.BoundParams(**{name: kwargs.pop(name) for name in spec.params
-                                             if name in kwargs})
-    result = spec.call(**kwargs)
-    results = result if len(spec.outputs) > 1 else (result,)
-    outputs = dict(zip(spec.outputs, results))
+    values = _read_document(inputs, _formula_fields(formula), where)
+    function = _formula_function(formula)
+    kwargs = {}
+    try:
+        for name, kind in _kinds(function).items():
+            if is_dataclass(kind):  # built from its own fields among the inputs
+                kwargs[name] = kind(**{f: values[f] for f in _kinds(kind) if f in values})
+            elif name in values:
+                kwargs[name] = values[name]
+        result = function(**kwargs)
+    except ValueError as exc:  # a domain check: name the formula
+        if str(exc).startswith(where):  # an entropy document's error names it already
+            raise
+        raise ValueError(f"{where}: {exc}") from None
+    keys = _FORMULAS[formula][1]
+    outputs = dict(zip(keys, result if len(keys) > 1 else (result,)))
     outputs["formula"] = formula
     return outputs, None
 
@@ -232,7 +193,9 @@ def _cmd_optimize_constants(doc, seed):
 def _cmd_rademacher(doc, seed):
     table = _load_table(doc, "rademacher")
     opts = _read_fields(doc, {"mode": str | None, "draws": int | None}, "rademacher")
-    mode = opts.get("mode", "auto")
+    mode, draws = opts.get("mode", "auto"), opts.get("draws", 1000)
+    if draws < 100:
+        raise ValueError(f"rademacher: field 'draws' must be >= 100, got {draws}")
     if mode not in ("auto", "exact", "monte_carlo"):
         raise ValueError(f"rademacher: field 'mode' must be auto, exact or monte_carlo, "
                          f"got {mode!r}")
@@ -246,8 +209,7 @@ def _cmd_rademacher(doc, seed):
                              f"{table.n}; use mode: monte_carlo")
         est = rademacher_exact(table)
     else:
-        est = rademacher_mc(table, draws=opts.get("draws", 1000),
-                            seed=_generator_seed(seed, "rademacher"))
+        est = rademacher_mc(table, draws=draws, seed=_generator_seed(seed, "rademacher"))
     return {
         "value": est.value,
         "std_error": est.std_error,
@@ -262,6 +224,8 @@ def _cmd_rademacher(doc, seed):
 def _cmd_cover(doc, seed):
     table = _load_table(doc, "cover")
     radius = _read_field(doc, "radius", float, "cover")
+    if radius < 0:
+        raise ValueError(f"cover: field 'radius' must be >= 0, got {radius}")
     method = _read_fields(doc, {"method": str | None}, "cover").get("method", "greedy")
     if method == "greedy":
         result = greedy_cover(table, radius)
@@ -300,6 +264,8 @@ def _cmd_mixing_demo(doc, seed):
     """Blocked tail bound vs empirical frequencies on a simulated chain."""
     P = _check_stochastic(_read_field(doc, "transition", np.ndarray, "mixing-demo"))
     n = _read_field(doc, "n", int, "mixing-demo")
+    if n < 1:
+        raise ValueError(f"mixing-demo: field 'n' must be >= 1, got {n}")
     delta = _read_field(doc, "delta", float, "mixing-demo")
     rate_r = _read_field(doc, "rate_r", float, "mixing-demo")
     opts = _read_fields(doc, {"trials": int | None, "h_values": np.ndarray | None,

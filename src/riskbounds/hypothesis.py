@@ -7,11 +7,14 @@ candidate function j at sample point k.  All downstream complexity and
 covering computations consume these tables.
 """
 
+import functools
+import inspect
 import json
 import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import MappingProxyType
 from typing import get_args
 
 import numpy as np
@@ -478,11 +481,28 @@ def _read_fields(doc: dict, kinds: dict, where: str) -> dict:
     return {name: v for name, v in kwargs.items() if v is not None}
 
 
-def _kinds(cls) -> dict:
-    """Each field of the dataclass ``cls`` by its annotation, ``| None`` when it
-    has a default."""
-    return {f.name: f.type if f.default is MISSING and f.default_factory is MISSING
-            else f.type | None for f in fields(cls)}
+def _read_document(doc: dict, kinds: dict, where: str) -> dict:
+    """``_read_fields`` of ``doc``; then one ValueError, led by ``where``, names
+    every key of ``doc`` that is not in ``kinds``."""
+    values = _read_fields(doc, kinds, where)
+    unknown = [str(key) for key in doc if key not in kinds]
+    if unknown:
+        raise ValueError(f"{where}: unknown fields: {', '.join(unknown)}")
+    return values
+
+
+@functools.cache
+def _kinds(obj) -> MappingProxyType:
+    """Each field of the dataclass ``obj``, or each parameter of the function
+    ``obj``, by its annotation, ``| None`` when it has a default. Cached per
+    ``obj``, as a read-only view, since every caller shares it."""
+    if is_dataclass(obj):
+        kinds = {f.name: f.type if f.default is MISSING and f.default_factory is MISSING
+                 else f.type | None for f in fields(obj)}
+    else:
+        kinds = {p.name: p.annotation if p.default is p.empty else p.annotation | None
+                 for p in inspect.signature(obj).parameters.values()}
+    return MappingProxyType(kinds)
 
 
 def _to_doc(obj):
@@ -499,19 +519,14 @@ def _to_doc(obj):
 
 def _from_doc(cls, doc, where: str):
     """The dataclass ``cls`` from the same-named fields of ``doc``, read by
-    ``_read_fields``; one ValueError then names every key that is no field. A
+    ``_read_document``, which refuses every key that is no field. A
     field whose metadata holds an ``"empty"`` document reads that document
     when null, absent or empty."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {doc!r}")
     doc = {**doc, **{f.name: f.metadata["empty"] for f in fields(cls)
                      if "empty" in f.metadata and not doc.get(f.name)}}
-    kinds = _kinds(cls)
-    kwargs = _read_fields(doc, kinds, where)
-    unknown = [str(key) for key in doc if key not in kinds]
-    if unknown:
-        raise ValueError(f"{where}: unknown fields: {', '.join(unknown)}")
-    return cls(**kwargs)
+    return cls(**_read_document(doc, _kinds(cls), where))
 
 
 _CLASS_KINDS = {"finite": Finite, "truncated_linear": TruncatedLinear, "neural_net": NeuralNet}

@@ -88,7 +88,7 @@ class TestParams:
         with pytest.raises(ValueError, match="lambda"):
             BoundParams(n=10, B=1.0, delta=0.1, c=2.0, lam=1.0)
         with pytest.raises(ValueError, match="eta must"):
-            BoundParams(n=10, B=1.0, delta=0.1, c=2.0, lam=2.0, eta=0.0)
+            unbounded_response_ci(P_2_2, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 class TestCriticalLevel:
@@ -417,29 +417,23 @@ class TestBoundedClassCI:
 
 class TestUnboundedResponseCI:
     def test_hand_value(self):
-        p = BoundParams(
-            n=100, B=1.0, delta=0.1, c=2.0, lam=2.0, eta=1.0, eta_prime=1.0
-        )
+        p = BoundParams(n=100, B=1.0, delta=0.1, c=2.0, lam=2.0)
         # 2(14*0.5 + 2) + 30*0.1 = 21
-        assert unbounded_response_ci(p, 0.5, 0.1, 2.0) == pytest.approx(21.0, abs=1e-12)
+        assert unbounded_response_ci(p, 1.0, 1.0, 0.5, 0.1, 2.0) == pytest.approx(21.0, abs=1e-12)
 
     def test_hand_value_zero_risk(self):
-        p = BoundParams(
-            n=100, B=1.0, delta=0.1, c=2.0, lam=2.0, eta=1.0, eta_prime=1.0
-        )
+        p = BoundParams(n=100, B=1.0, delta=0.1, c=2.0, lam=2.0)
         # 2*bounded_tail + 30*0.2 = 2*2 + 6 = 10
-        assert unbounded_response_ci(p, 0.0, 0.2, 2.0) == pytest.approx(10.0, abs=1e-12)
+        assert unbounded_response_ci(p, 1.0, 1.0, 0.0, 0.2, 2.0) == pytest.approx(10.0, abs=1e-12)
 
     def test_requires_eta(self):
         with pytest.raises(ValueError, match="eta"):
-            unbounded_response_ci(P_2_2, 0.0, 0.0, 0.0)
+            unbounded_response_ci(P_2_2, 1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_reduces_toward_bounded_tail_for_zero_overflow(self):
         # no truncation loss: width = (1+eta)(bounded tail) when inf risk is 0
-        p = BoundParams(
-            n=100, B=1.0, delta=0.1, c=2.0, lam=2.0, eta=0.25, eta_prime=1.0
-        )
-        assert unbounded_response_ci(p, 0.0, 0.0, 4.0) == pytest.approx(5.0)
+        p = BoundParams(n=100, B=1.0, delta=0.1, c=2.0, lam=2.0)
+        assert unbounded_response_ci(p, 0.25, 1.0, 0.0, 0.0, 4.0) == pytest.approx(5.0)
 
 
 class TestMixingSecondTerm:

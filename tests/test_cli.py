@@ -60,9 +60,6 @@ REQUIRED_FIELDS = {
 # optional numeric fields, beside the required ones
 OPTIONAL_NUMBERS = {
     "nn_generalization_ci": ["units"],
-    "epsilon_n": ["eta", "eta_prime"],
-    "bounded_class_ci": ["eta", "eta_prime"],
-    "vc_mixing_second_term": ["eta", "eta_prime"],
 }
 
 # one valid input document per formula
@@ -345,12 +342,12 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize(
         "extra,path",
-        [('"foo": 1e400', "inputs.foo"), ('"foo": [1, {"bar": -1e400}]', "inputs.foo[1].bar")],
+        [('"foo": 1e400', "foo"), ('"foo": [1, {"bar": -1e400}]', "foo[1].bar")],
         ids=["field", "nested"],
     )
     def test_unread_number_beyond_float_range_is_named(self, tmp_path, capsys, extra, path):
-        text = ('{"formula": "deviation_tail", "inputs": '
-                f'{{"epsilon": 2.0, "envelope_l2_sup": 1.0, {extra}}}}}')
+        text = ('{"formula": "deviation_tail", '
+                f'"inputs": {{"epsilon": 2.0, "envelope_l2_sup": 1.0}}, {extra}}}')
         code, out, err = run_text(tmp_path, capsys, "bound", text)
         assert code == 2
         assert out == ""
@@ -378,6 +375,21 @@ class TestBoundCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "field,value"
         assert any(line.startswith("tail,0.1353352832") for line in lines)
+
+    def test_readme_formula_table_matches_the_signatures(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        header = "| formula | required inputs | optional inputs | output keys |\n"
+        table = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+        rows = {}
+        for line in table:
+            formula, *cells = [re.findall(r"`(\w+)`", cell) for cell in line.split("|")[1:-1]]
+            rows[formula[0]] = cells
+        assert sorted(rows) == sorted(cli._FORMULAS)
+        for formula, (required, optional, outputs) in rows.items():
+            fields = cli._formula_fields(formula)
+            assert required == [n for n, k in fields.items() if type(None) not in get_args(k)]
+            assert optional == [n for n, k in fields.items() if type(None) in get_args(k)]
+            assert outputs == list(cli._FORMULAS[formula][1])
 
 
 class TestTopLevel:
@@ -973,8 +985,8 @@ class TestFieldTypes:
     ]
 
     def test_bool_field_list_is_complete(self):
-        formula_bools = {name for spec in cli._FORMULAS.values()
-                         for name, kind in {**spec.params, **spec.fields}.items()
+        formula_bools = {name for formula in cli._FORMULAS
+                         for name, kind in cli._formula_fields(formula).items()
                          if bool in (kind, *get_args(kind))}
         listed = {path[-1] for command, _, path in self.BOOL_FIELDS if command == "bound"}
         assert formula_bools == listed

@@ -1,0 +1,130 @@
+"""Refusal sweep: a bad input is refused with exit 2 and a message that names
+where it is, never with exit 1 or a traceback.
+
+The `bound` slice changes one input field of each checked-in `bound` request
+at a time: to 0, -1, 1e400, a string, null, [] or {}, or it deletes the field.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import riskbounds.cli as cli
+from riskbounds import bounds_rademacher as br
+from riskbounds import bounds_vc as bv
+from riskbounds.hypothesis import _kinds
+
+REQUESTS = Path(__file__).resolve().parents[1] / "bench" / "requests"
+BOUND_DOCS = sorted(p.stem for p in REQUESTS.glob("bound_*.json"))
+
+OVERFLOW = "<1e400>"  # written into the document text as the literal 1e400
+DELETE = object()
+MUTATIONS = [0, -1, OVERFLOW, "many", None, [], {}, DELETE]
+
+
+def run_text(tmp_path, capsys, command, text):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    code = cli.main([command, "--params", str(path), "--out", str(tmp_path / "out.json")])
+    return code, capsys.readouterr().err
+
+
+def run_doc(tmp_path, capsys, command, doc):
+    return run_text(tmp_path, capsys, command,
+                    json.dumps(doc).replace(json.dumps(OVERFLOW), "1e400"))
+
+
+def load(name: str) -> dict:
+    return json.loads((REQUESTS / f"{name}.json").read_text())
+
+
+class TestBoundSweep:
+    def test_every_formula_has_a_request(self):
+        assert {load(name)["formula"] for name in BOUND_DOCS} == set(cli._FORMULAS)
+
+    @pytest.mark.parametrize("name", BOUND_DOCS)
+    def test_one_bad_field_exits_two_naming_the_formula(self, tmp_path, capsys, name):
+        doc = load(name)
+        formula = doc["formula"]
+        faults = []
+        for field in doc["inputs"]:
+            for value in MUTATIONS:
+                inputs = dict(doc["inputs"], **{field: value})
+                if value is DELETE:
+                    del inputs[field]
+                code, err = run_doc(tmp_path, capsys, "bound", dict(doc, inputs=inputs))
+                if code not in (0, 2) or (code == 2 and f"bound[{formula}]" not in err):
+                    faults.append((field, value, code, err.strip()))
+        assert faults == []
+
+    @pytest.mark.parametrize("name", BOUND_DOCS)
+    def test_unknown_key_is_refused_by_name(self, tmp_path, capsys, name):
+        doc = load(name)
+        inputs = dict(doc["inputs"], nonnegativ=True)
+        code, err = run_doc(tmp_path, capsys, "bound", dict(doc, inputs=inputs))
+        assert code == 2
+        assert err == f"error: bound[{doc['formula']}]: unknown fields: nonnegativ\n"
+
+    def test_misspelt_flag_no_longer_passes_silently(self, tmp_path, capsys):
+        doc = {"formula": "deviation_tail",
+               "inputs": {"epsilon": 2, "envelope_l2_sup": 1, "nonnegativ": True}}
+        code, err = run_doc(tmp_path, capsys, "bound", doc)
+        assert code == 2
+        assert "bound[deviation_tail]: unknown fields: nonnegativ" in err
+
+    @pytest.mark.parametrize("name,field,value,message", [
+        ("bound_epsilon_n", "c", 1, "bound[epsilon_n]: c must exceed 1, got 1.0"),
+        ("bound_optimized_bound", "n", 0,
+         "bound[optimized_bound]: need n >= 1, B > 0, delta in (0,1)"),
+        ("bound_unbounded_response_ci", "eta_prime", -1,
+         "bound[unbounded_response_ci]: eta_prime must be positive, got -1.0"),
+        ("bound_refined_bound", "c_n", 1, "bound[refined_bound]: c_n must exceed 1, got 1.0"),
+    ])
+    def test_domain_error_names_the_formula(self, tmp_path, capsys, name, field, value,
+                                            message):
+        doc = load(name)
+        code, err = run_doc(tmp_path, capsys, "bound",
+                            dict(doc, inputs=dict(doc["inputs"], **{field: value})))
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    def test_entropy_document_is_named_once(self, tmp_path, capsys):
+        doc = load("bound_refined_bound")
+        doc["inputs"]["entropy"]["B"] = 0
+        code, err = run_doc(tmp_path, capsys, "bound", doc)
+        assert code == 2
+        assert err == ("error: bound[refined_bound].entropy: field 'B' must be positive, "
+                       "got 0.0\n")
+
+
+class TestKindsOfAFunction:
+    def test_defaults_make_a_parameter_optional(self):
+        assert _kinds(br.deviation_tail) == {
+            "epsilon": float, "envelope_l2_sup": float, "nonnegative": bool | None}
+
+    def test_dataclass_parameter_is_reported_as_the_dataclass(self):
+        assert _kinds(bv.bounded_class_ci) == {
+            "params": bv.BoundParams, "inf_risk": float, "log_a": float}
+
+    def test_formula_fields_list_dataclass_fields_first(self):
+        assert list(cli._formula_fields("vc_mixing_second_term")) == [
+            "n", "B", "delta", "c", "lam", "rate_r", "log_a_star"]
+
+
+class TestOtherCommandRefusals:
+    def test_mixing_demo_needs_a_positive_n(self, tmp_path, capsys):
+        code, err = run_doc(tmp_path, capsys, "mixing-demo", dict(load("mixing_demo"), n=0))
+        assert code == 2
+        assert err == "error: mixing-demo: field 'n' must be >= 1, got 0\n"
+
+    def test_rademacher_needs_enough_draws(self, tmp_path, capsys):
+        doc = dict(load("rademacher_small"), mode="monte_carlo", draws=0)
+        code, err = run_doc(tmp_path, capsys, "rademacher", doc)
+        assert code == 2
+        assert err == "error: rademacher: field 'draws' must be >= 100, got 0\n"
+
+    def test_cover_needs_a_nonnegative_radius(self, tmp_path, capsys):
+        code, err = run_doc(tmp_path, capsys, "cover", dict(load("cover_greedy"), radius=-1))
+        assert code == 2
+        assert err == "error: cover: field 'radius' must be >= 0, got -1.0\n"
