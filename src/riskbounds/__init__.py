@@ -5,151 +5,25 @@ minimizers: empirical Rademacher-complexity intervals, covering-number and
 entropy estimates, VC-type bounds with explicit optimized constants, and
 corrections for beta-mixing data, together with simulation tooling that
 checks the advertised coverage on synthetic models.
+
+Each library module's ``__all__`` decides what it exports; the package
+re-exports exactly those names, module by module.
 """
 
-from .hypothesis import (
-    Finite,
-    FunctionTable,
-    GridSpec,
-    NeuralNet,
-    SequentialSample,
-    TruncatedLinear,
-    class_from_json,
-    class_to_json,
-    evaluate_class,
-    truncate,
-    vc_dimension_bound,
-)
-from .rademacher import (
-    RademacherEstimate,
-    massart_bound,
-    rademacher_cover_bound,
-    rademacher_exact,
-    rademacher_mc,
-)
-from .covering import (
-    CoveringResult,
-    EntropyEstimate,
-    EntropyTag,
-    classify_entropy,
-    empirical_l1_distance,
-    exact_cover_size,
-    greedy_cover,
-    nn_entropy,
-    vc_entropy,
-)
-from .bounds_rademacher import (
-    RademacherCIInputs,
-    conditional_k_bound,
-    deviation_tail,
-    mixing_rademacher_ci,
-    nn_generalization_ci,
-    rademacher_ci,
-    rademacher_ci_massart,
-    single_hypothesis_tail,
-)
-from .bounds_vc import (
-    BoundParams,
-    OptimizedConstants,
-    bounded_class_ci,
-    epsilon_n,
-    log_a_from_entropy,
-    optimize_v,
-    optimized_bound,
-    refined_bound,
-    small_lambda_bound,
-    unbounded_response_ci,
-    vc_mixing_second_term,
-)
-from .mixing import (
-    MixingPlan,
-    beta_exact_discrete,
-    block_indices,
-    blocked_deviation_bound,
-    choose_block_size,
-    make_plan,
-    markov_beta_of_lag,
-    stationary_distribution,
-)
-from .simulate import (
-    CoverageReport,
-    DataModel,
-    ERMResult,
-    coverage_experiment,
-    erm_fit,
-    exact_average_complexity,
-    excess_risk_exact,
-    generate,
-    model_from_json,
-    model_to_json,
-    proof_functionals,
-)
+from . import bounds_rademacher, bounds_vc, covering, hypothesis, mixing, rademacher, simulate
+from .hypothesis import *  # noqa: F403
+from .rademacher import *  # noqa: F403
+from .covering import *  # noqa: F403
+from .bounds_rademacher import *  # noqa: F403
+from .bounds_vc import *  # noqa: F403
+from .mixing import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "truncate",
-    "GridSpec",
-    "Finite",
-    "TruncatedLinear",
-    "NeuralNet",
-    "SequentialSample",
-    "FunctionTable",
-    "evaluate_class",
-    "vc_dimension_bound",
-    "class_to_json",
-    "class_from_json",
-    "RademacherEstimate",
-    "rademacher_exact",
-    "rademacher_mc",
-    "massart_bound",
-    "rademacher_cover_bound",
-    "CoveringResult",
-    "empirical_l1_distance",
-    "greedy_cover",
-    "exact_cover_size",
-    "vc_entropy",
-    "nn_entropy",
-    "EntropyEstimate",
-    "EntropyTag",
-    "classify_entropy",
-    "RademacherCIInputs",
-    "deviation_tail",
-    "single_hypothesis_tail",
-    "conditional_k_bound",
-    "rademacher_ci",
-    "rademacher_ci_massart",
-    "nn_generalization_ci",
-    "mixing_rademacher_ci",
-    "BoundParams",
-    "OptimizedConstants",
-    "epsilon_n",
-    "optimize_v",
-    "optimized_bound",
-    "small_lambda_bound",
-    "refined_bound",
-    "bounded_class_ci",
-    "unbounded_response_ci",
-    "vc_mixing_second_term",
-    "log_a_from_entropy",
-    "MixingPlan",
-    "block_indices",
-    "make_plan",
-    "beta_exact_discrete",
-    "stationary_distribution",
-    "markov_beta_of_lag",
-    "choose_block_size",
-    "blocked_deviation_bound",
-    "DataModel",
-    "model_to_json",
-    "model_from_json",
-    "generate",
-    "ERMResult",
-    "erm_fit",
-    "excess_risk_exact",
-    "proof_functionals",
-    "exact_average_complexity",
-    "CoverageReport",
-    "coverage_experiment",
-    "__version__",
-]
+    name
+    for module in (hypothesis, rademacher, covering, bounds_rademacher, bounds_vc, mixing,
+                   simulate)
+    for name in module.__all__
+] + ["__version__"]

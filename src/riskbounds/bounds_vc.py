@@ -42,15 +42,12 @@ __all__ = [
     "epsilon_n_upper",
     "b_coeff",
     "radius_A",
-    "A_of_sample",
     "log_a_from_entropy",
-    "vc_second_term",
     "V_function",
     "OptimizedConstants",
     "optimize_v",
     "optimized_bound",
     "small_lambda_bound",
-    "lambda_sum_coefficient",
     "refined_bound",
     "bounded_class_ci",
     "unbounded_response_ci",
@@ -152,20 +149,6 @@ def radius_A(params: BoundParams, epsilon: float) -> float:
     return (1.0 / 32.0) / B / (lam * (c - 1.0) + 1.0) * (1.0 - 1.0 / c) * epsilon
 
 
-def A_of_sample(cover_size_at_radius: int, c: float, lam: float | None = None) -> float:
-    """Covering-count factor A = 2(c+1)(2c+3) * N1(radius_A).
-
-    lambda enters only through the radius at which the cover was taken; it
-    is accepted for interface symmetry and not used in the product.
-    """
-    if cover_size_at_radius < 1:
-        raise ValueError(f"cover size must be >= 1, got {cover_size_at_radius}")
-    if c <= 1:
-        raise ValueError(f"c must exceed 1, got {c}")
-    del lam
-    return 2.0 * (c + 1.0) * (2.0 * c + 3.0) * cover_size_at_radius
-
-
 def log_a_from_entropy(
     params: BoundParams, entropy: EntropyEstimate, epsilon: float | None = None
 ) -> float:
@@ -178,13 +161,6 @@ def log_a_from_entropy(
     r = radius_A(params, eps)
     c = params.c
     return math.log(2.0 * (c + 1.0) * (2.0 * c + 3.0)) + entropy(r)
-
-
-def vc_second_term(params: BoundParams, log_a: float) -> float:
-    """Deviation term max(n eps_n, (1/b)(log a + log(1/delta)))."""
-    first = params.n * epsilon_n(params)
-    second = (log_a + math.log(1.0 / params.delta)) / b_coeff(params)
-    return max(first, second)
 
 
 def V_function(c: float, lam: float) -> float:
@@ -351,14 +327,6 @@ def optimized_bound(n: int, B: float, delta: float, log_cover: float) -> float:
     if log_cover < 0:
         raise ValueError("log cover must be nonnegative")
     return 3292.0 * (B * B / n) * (1.0 + math.log(1.0 / delta) + log_cover)
-
-
-def lambda_sum_coefficient(lam: float) -> float:
-    """C(lambda) = (lambda-1)(q1+q2+q3); stays below 2 on (1, 13/12]."""
-    if lam <= 1:
-        raise ValueError(f"lambda must exceed 1, got {lam}")
-    _, q1, q2, q3 = _q_values(lam)
-    return (lam - 1.0) * (q1 + q2 + q3)
 
 
 def small_lambda_bound(n: int, B: float, delta: float, lam: float, log_cover: float) -> float:

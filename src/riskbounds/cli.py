@@ -18,6 +18,7 @@ cannot carry.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -34,7 +35,9 @@ from . import bounds_rademacher as br
 from . import bounds_vc as bv
 from . import covering
 from .covering import EntropyEstimate, classify_entropy, exact_cover_size, greedy_cover
-from .hypothesis import FunctionTable, _kinds, _read_document, _read_field, _read_fields
+from .hypothesis import (
+    FunctionTable, _kinds, _read_document, _read_field, _read_fields, _refuse_unknown,
+)
 from .mixing import (
     _check_stochastic,
     block_indices,
@@ -90,16 +93,29 @@ def _generator_seed(seed: int | None, where: str) -> int:
     return seed
 
 
-def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
-    kinds = {"vc": {"V": int, "B": float}, "neural_net": {"d": int, "N": int, "B": float}}
-    kind = _read_field(doc, "kind", str, where)
-    if kind not in kinds:
-        raise ValueError(f"{where}: field 'kind' must be 'vc' or 'neural_net', got {kind!r}")
-    fields = _read_fields(doc, kinds[kind], where)
+@contextlib.contextmanager
+def _domain_errors(where: str):
+    """Lead each ValueError raised inside with ``where``, unless it already is:
+    a library's domain check then names the document or command it came from.
+    Also a decorator, for a whole command."""
     try:
-        return getattr(EntropyEstimate, kind)(**fields)
-    except ValueError as exc:  # a domain check: name the document
+        yield
+    except ValueError as exc:
+        if str(exc).startswith(where):
+            raise
         raise ValueError(f"{where}: {exc}") from None
+
+
+_ENTROPY_FIELDS = {"vc": {"V": int, "B": float}, "neural_net": {"d": int, "N": int, "B": float}}
+
+
+def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
+    kind = _read_field(doc, "kind", str, where)
+    if kind not in _ENTROPY_FIELDS:
+        raise ValueError(f"{where}: field 'kind' must be 'vc' or 'neural_net', got {kind!r}")
+    fields = _read_fields(doc, _ENTROPY_FIELDS[kind], where)
+    with _domain_errors(where):
+        return getattr(EntropyEstimate, kind)(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +185,13 @@ def _cmd_bound(doc, seed):
     values = _read_document(inputs, _formula_fields(formula), where)
     function = _formula_function(formula)
     kwargs = {}
-    try:
+    with _domain_errors(where):  # an entropy document's error names it already
         for name, kind in _kinds(function).items():
             if is_dataclass(kind):  # built from its own fields among the inputs
                 kwargs[name] = kind(**{f: values[f] for f in _kinds(kind) if f in values})
             elif name in values:
                 kwargs[name] = values[name]
         result = function(**kwargs)
-    except ValueError as exc:  # a domain check: name the formula
-        if str(exc).startswith(where):  # an entropy document's error names it already
-            raise
-        raise ValueError(f"{where}: {exc}") from None
     keys = _FORMULAS[formula][1]
     outputs = dict(zip(keys, result if len(keys) > 1 else (result,)))
     outputs["formula"] = formula
@@ -190,9 +202,11 @@ def _cmd_optimize_constants(doc, seed):
     return asdict(bv.optimize_v()), None
 
 
+@_domain_errors("rademacher")
 def _cmd_rademacher(doc, seed):
     table = _load_table(doc, "rademacher")
     opts = _read_fields(doc, {"mode": str | None, "draws": int | None}, "rademacher")
+    _refuse_unknown(doc, ("values", "csv", "mode", "draws"), "rademacher")
     mode, draws = opts.get("mode", "auto"), opts.get("draws", 1000)
     if draws < 100:
         raise ValueError(f"rademacher: field 'draws' must be >= 100, got {draws}")
@@ -221,12 +235,14 @@ def _cmd_rademacher(doc, seed):
     }, None
 
 
+@_domain_errors("cover")
 def _cmd_cover(doc, seed):
     table = _load_table(doc, "cover")
     radius = _read_field(doc, "radius", float, "cover")
     if radius < 0:
         raise ValueError(f"cover: field 'radius' must be >= 0, got {radius}")
     method = _read_fields(doc, {"method": str | None}, "cover").get("method", "greedy")
+    _refuse_unknown(doc, ("values", "csv", "radius", "method"), "cover")
     if method == "greedy":
         result = greedy_cover(table, radius)
     elif method == "exact":
@@ -242,6 +258,7 @@ def _cmd_cover(doc, seed):
     }, None
 
 
+@_domain_errors("entropy")
 def _cmd_entropy(doc, seed):
     estimate = _entropy_from_doc(doc, "entropy")
     radii = _read_field(doc, "radii", np.ndarray | None, "entropy")
@@ -253,13 +270,17 @@ def _cmd_entropy(doc, seed):
                          f"got {radii}")
     values = [{"r": r, "entropy": estimate(r)} for r in radii]
     outputs = {"kind": estimate.kind, "validity": list(estimate.validity), "values": values}
-    if _read_field(doc, "classify", bool | None, "entropy"):
+    classify = _read_field(doc, "classify", bool | None, "entropy")
+    _refuse_unknown(doc, {"kind", *_ENTROPY_FIELDS[estimate.kind], "radii", "r", "classify"},
+                    "entropy")
+    if classify:
         tag = classify_entropy(estimate)
         outputs["tag"] = {"kind": tag.kind, "alpha": tag.alpha}
     rows = [("r,entropy", [f"{v['r']},{v['entropy']}" for v in values])]
     return outputs, rows
 
 
+@_domain_errors("mixing-demo")
 def _cmd_mixing_demo(doc, seed):
     """Blocked tail bound vs empirical frequencies on a simulated chain."""
     P = _check_stochastic(_read_field(doc, "transition", np.ndarray, "mixing-demo"))
@@ -270,6 +291,8 @@ def _cmd_mixing_demo(doc, seed):
     rate_r = _read_field(doc, "rate_r", float, "mixing-demo")
     opts = _read_fields(doc, {"trials": int | None, "h_values": np.ndarray | None,
                               "thresholds": np.ndarray | None}, "mixing-demo")
+    _refuse_unknown(doc, ("transition", "n", "delta", "rate_r", "trials", "h_values",
+                          "thresholds"), "mixing-demo")
     trials = opts.get("trials", 500)
     if trials < 1:
         raise ValueError(f"mixing-demo: field 'trials' must be >= 1, got {trials}")

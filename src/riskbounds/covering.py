@@ -18,7 +18,6 @@ from .hypothesis import FunctionTable
 
 __all__ = [
     "CoveringResult",
-    "empirical_l1_distance",
     "greedy_cover",
     "exact_cover_size",
     "vc_entropy",
@@ -43,17 +42,6 @@ class CoveringResult:
         doc = asdict(self)
         doc["indices"] = list(doc.pop("cover_indices") or [])
         return json.dumps(doc)
-
-
-def empirical_l1_distance(row_a, row_b) -> float:
-    """Averaged L1 distance (1/n) sum |a_k - b_k| between two rows."""
-    a = np.asarray(row_a, dtype=float).ravel()
-    b = np.asarray(row_b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise ValueError("rows must be nonempty")
-    return float(np.mean(np.abs(a - b)))
 
 
 def _distances_from(values: np.ndarray, j: int) -> np.ndarray:

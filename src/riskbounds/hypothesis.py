@@ -327,10 +327,6 @@ class FunctionTable:
         """l2 norm of the envelope vector, sqrt(sum_k H_k^2)."""
         return float(np.sqrt(np.sum(self.envelope**2)))
 
-    def to_csv(self, path: str):
-        """Write the table (rows=functions, cols=points) as CSV."""
-        np.savetxt(path, self.values, delimiter=",")
-
 
 def evaluate_class(
     cls: HypothesisClass,
@@ -481,13 +477,17 @@ def _read_fields(doc: dict, kinds: dict, where: str) -> dict:
     return {name: v for name, v in kwargs.items() if v is not None}
 
 
-def _read_document(doc: dict, kinds: dict, where: str) -> dict:
-    """``_read_fields`` of ``doc``; then one ValueError, led by ``where``, names
-    every key of ``doc`` that is not in ``kinds``."""
-    values = _read_fields(doc, kinds, where)
-    unknown = [str(key) for key in doc if key not in kinds]
+def _refuse_unknown(doc: dict, known, where: str) -> None:
+    """One ValueError, led by ``where``, naming every key of ``doc`` not in ``known``."""
+    unknown = [str(key) for key in doc if key not in known]
     if unknown:
         raise ValueError(f"{where}: unknown fields: {', '.join(unknown)}")
+
+
+def _read_document(doc: dict, kinds: dict, where: str) -> dict:
+    """``_read_fields`` of ``doc``, then ``_refuse_unknown`` of its other keys."""
+    values = _read_fields(doc, kinds, where)
+    _refuse_unknown(doc, kinds, where)
     return values
 
 

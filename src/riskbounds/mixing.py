@@ -16,7 +16,6 @@ import numpy as np
 from .hypothesis import _distribution
 
 __all__ = [
-    "MixingPlan",
     "block_indices",
     "beta_exact_discrete",
     "stationary_distribution",
@@ -25,23 +24,7 @@ __all__ = [
     "choose_block_size",
     "BlockedTail",
     "blocked_deviation_bound",
-    "make_plan",
 ]
-
-
-@dataclass(frozen=True)
-class MixingPlan:
-    """Blocking layout plus the dependence coefficient it relies on."""
-
-    n: int
-    m: int
-    blocks: tuple
-    beta_m: float
-    rate_r: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta_m <= 1.0):
-            raise ValueError(f"beta_m must lie in [0,1], got {self.beta_m}")
 
 
 def block_indices(n: int, m: int) -> list:
@@ -54,13 +37,6 @@ def block_indices(n: int, m: int) -> list:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     idx = np.arange(1, n + 1)
     return [idx[idx % m == k] for k in range(m)]
-
-
-def make_plan(n: int, m: int, beta_m: float, rate_r: float | None = None) -> MixingPlan:
-    return MixingPlan(
-        n=n, m=m, blocks=tuple(tuple(b) for b in block_indices(n, m)),
-        beta_m=beta_m, rate_r=rate_r,
-    )
 
 
 def beta_exact_discrete(joint: np.ndarray) -> float:

@@ -132,7 +132,9 @@ def rademacher_mc(table: FunctionTable, draws: int, seed: int) -> RademacherEsti
     Deterministic given the seed.  std_error is the sample standard
     deviation of the per-draw suprema divided by sqrt(draws).  The suprema
     are taken in row blocks of the product that fit ``_WORK_BYTES``; the
-    signs overwrite their integer draws, 1 MiB at a time.
+    signs overwrite their integer draws, 1 MiB at a time.  Signs are drawn
+    2^22 entries at a time (one row when n is larger), a 32 MiB chunk held
+    beside the 16 MiB product budget.
     """
     if draws < 100:
         raise ValueError(f"draws must be >= 100, got {draws}")

@@ -49,13 +49,10 @@ __all__ = [
     "DataModel",
     "model_to_json",
     "model_from_json",
-    "generate",
     "generate_with_states",
     "ERMResult",
     "erm_fit",
     "excess_risk_exact",
-    "ProofFunctionals",
-    "proof_functionals",
     "exact_average_complexity",
     "enumerate_product_states",
     "CoverageReport",
@@ -314,26 +311,6 @@ def phi_grid(model: DataModel, points: np.ndarray, n: int) -> np.ndarray:
     return _phi_of_f(f, model.noise, model.B)
 
 
-def response_tail_term(model: DataModel, n: int) -> float:
-    """(1/n) sum_k E[(|W_k| - B)^2 1{|W_k| > B}], exact for discrete models."""
-    if model.covariates.kind == "uniform":
-        raise ValueError("tail term implemented for finite-support covariates only")
-    if model.noise.kind == "uniform":
-        raise ValueError("tail term implemented for discrete or zero noise only")
-    pmf = model.covariates.pmf_per_index(n)
-    f0 = model.mean.at_atoms(model.covariates.support)
-    f = f0[None, :] + model.drift_offsets(n)[:, None]  # (n, s)
-    if model.noise.kind == "none":
-        w = f[..., None]
-        probs = np.ones(1)
-    else:
-        w = f[..., None] + model.noise.values
-        probs = model.noise.probs
-    over = np.maximum(np.abs(w) - model.B, 0.0) ** 2
-    per_atom = over @ probs  # (n, s)
-    return float(np.mean(np.sum(pmf * per_atom, axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -376,12 +353,6 @@ def generate_with_states(model: DataModel, n: int, seed) -> tuple:
     bit-for-bit reproducible from the seed: the one-seed ``_draw_trials``."""
     x, y, states = _draw_trials(model, n, [seed])
     return SequentialSample(points=x[0], responses=y[0]), states if states is None else states[0]
-
-
-def generate(model: DataModel, n: int, seed) -> SequentialSample:
-    """Sample n points from the model, deterministic in the seed."""
-    sample, _ = generate_with_states(model, n, seed)
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -655,49 +626,6 @@ def risk_of_rows(rows_at_atoms: np.ndarray, model: DataModel, n: int) -> np.ndar
     pmf = cov.pmf_per_index(n)  # (n, s)
     diff = rows[:, None, :] - phi[None, :, :]  # (m, n, s)
     return np.mean(np.sum(pmf[None] * diff**2, axis=2), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# proof-side diagnostics
-
-
-@dataclass(frozen=True)
-class ProofFunctionals:
-    """Per-row centered deviations, their max, and the level indices."""
-
-    w_h: np.ndarray
-    w: float
-    k_h: np.ndarray
-
-
-def proof_functionals(
-    values: np.ndarray, expectations: np.ndarray, u_signs: np.ndarray
-) -> ProofFunctionals:
-    """Deviation functionals of a realized table.
-
-    w_h = u . (E h - h(z)) per row, w = max over rows, and k_h the smallest
-    integer k in 0..n with w_h <= k w / n (0 whenever w_h <= 0).
-    """
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
-    exps = np.atleast_2d(np.asarray(expectations, dtype=float))
-    u = np.asarray(u_signs, dtype=float).ravel()
-    if vals.shape != exps.shape or vals.shape[1] != u.size:
-        raise ValueError("values, expectations and u_signs shapes disagree")
-    n = vals.shape[1]
-    w_h = (exps - vals) @ u
-    w = float(np.max(w_h))
-    k_h = np.zeros(len(w_h), dtype=np.int64)
-    for j, wh in enumerate(w_h):
-        if wh <= 0:
-            continue
-        # here w >= wh > 0
-        k = min(int(math.ceil(n * wh / w)), n)
-        while k > 1 and wh <= (k - 1) * w / n:
-            k -= 1
-        while wh > k * w / n and k < n:
-            k += 1
-        k_h[j] = k
-    return ProofFunctionals(w_h=w_h, w=w, k_h=k_h)
 
 
 # ---------------------------------------------------------------------------

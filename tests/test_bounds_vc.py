@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from riskbounds import bounds_vc
 from riskbounds.bounds_vc import (
     SMALL_LAMBDA_MAX,
-    A_of_sample,
     BoundParams,
     OptimizedConstants,
     V_function,
@@ -23,7 +22,6 @@ from riskbounds.bounds_vc import (
     constant_profile,
     epsilon_n,
     epsilon_n_upper,
-    lambda_sum_coefficient,
     log_a_from_entropy,
     optimize_v,
     optimized_bound,
@@ -32,7 +30,6 @@ from riskbounds.bounds_vc import (
     small_lambda_bound,
     unbounded_response_ci,
     vc_mixing_second_term,
-    vc_second_term,
 )
 from riskbounds.covering import EntropyEstimate, vc_entropy
 
@@ -145,16 +142,6 @@ class TestCoveringFactor:
         with pytest.raises(ValueError, match="epsilon"):
             radius_A(P_2_2, 0.0)
 
-    def test_count_factor(self):
-        assert A_of_sample(1, c=2.0) == pytest.approx(42.0)
-        assert A_of_sample(5, c=2.0) == pytest.approx(210.0)
-        # lambda is interface-only
-        assert A_of_sample(1, c=2.0, lam=999.0) == pytest.approx(42.0)
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError, match="cover size"):
-            A_of_sample(0, c=2.0)
-
     def test_entropy_plugin_default_epsilon(self):
         est = EntropyEstimate.vc(V=1, B=1.0)
         r = radius_A(P_2_2, epsilon_n(P_2_2))
@@ -167,24 +154,6 @@ class TestCoveringFactor:
         assert log_a_from_entropy(P_2_2, est, epsilon=0.5) == pytest.approx(
             expect, rel=1e-14
         )
-
-
-class TestDeviationTerms:
-    def test_second_term_reference(self):
-        p = BoundParams(n=100, B=1.0, delta=0.1, c=2.0, lam=2.0)
-        assert vc_second_term(p, math.log(42.0)) == pytest.approx(
-            29401.275376849, rel=1e-11
-        )
-
-    def test_second_term_tighter_delta(self):
-        assert vc_second_term(P_2_2, math.log(42.0)) == pytest.approx(
-            32775.207786401224, rel=1e-12
-        )
-
-    def test_first_branch_can_dominate(self):
-        # loose delta shrinks the rate term below the saturating n*eps_n branch
-        p = BoundParams(n=10**12, B=1.0, delta=0.999, c=2.0, lam=2.0)
-        assert vc_second_term(p, 0.0) == pytest.approx(p.n * epsilon_n(p), rel=1e-12)
 
 
 class TestPrefactor:
@@ -327,6 +296,13 @@ class TestHeadlineBound:
         w1 = optimized_bound(10**3, 1.0, 0.05, 2.0)
         w2 = optimized_bound(10**6, 1.0, 0.05, 2.0)
         assert w2 == pytest.approx(w1 / 1000.0, rel=1e-12)
+
+
+def lambda_sum_coefficient(lam: float) -> float:
+    """C(lambda) = (lambda - 1)(q1 + q2 + q3), which the 64/(lambda - 1) factor of
+    small_lambda_bound needs below 2 on (1, 13/12]."""
+    _, q1, q2, q3 = _q_values(lam)
+    return (lam - 1.0) * (q1 + q2 + q3)
 
 
 class TestSmallLambdaRegime:

@@ -10,44 +10,12 @@ from riskbounds.covering import (
     EXACT_MAX_ROWS,
     EntropyEstimate,
     classify_entropy,
-    empirical_l1_distance,
     exact_cover_size,
     greedy_cover,
     nn_entropy,
     vc_entropy,
 )
 from riskbounds.hypothesis import FunctionTable
-
-
-class TestDistance:
-    def test_averaged_l1(self):
-        assert empirical_l1_distance([0.5, 2.0], [0.0, 0.0]) == pytest.approx(1.25)
-
-    def test_symmetry_and_identity(self):
-        a, b = [1.0, -1.0, 3.0], [0.0, 0.5, 2.0]
-        assert empirical_l1_distance(a, b) == empirical_l1_distance(b, a)
-        assert empirical_l1_distance(a, a) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            empirical_l1_distance([1.0], [1.0, 2.0])
-
-    def test_empty_rows(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            empirical_l1_distance([], [])
-
-    @given(
-        st.lists(st.floats(-100, 100), min_size=1, max_size=8),
-        st.lists(st.floats(-100, 100), min_size=1, max_size=8),
-        st.lists(st.floats(-100, 100), min_size=1, max_size=8),
-    )
-    @settings(max_examples=40)
-    def test_triangle_inequality(self, xs, ys, zs):
-        n = min(len(xs), len(ys), len(zs))
-        a, b, c = xs[:n], ys[:n], zs[:n]
-        assert empirical_l1_distance(a, c) <= (
-            empirical_l1_distance(a, b) + empirical_l1_distance(b, c) + 1e-9
-        )
 
 
 CHAIN = FunctionTable(values=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))

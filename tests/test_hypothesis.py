@@ -223,13 +223,6 @@ class TestSampleAndTable:
         with pytest.raises(ValueError, match="finite"):
             FunctionTable(values=np.array([[np.inf]]))
 
-    def test_csv_roundtrip(self, tmp_path):
-        t = FunctionTable(values=np.array([[1.5, -2.0], [0.0, 3.25]]))
-        path = tmp_path / "table.csv"
-        t.to_csv(path)
-        back = np.loadtxt(path, delimiter=",")
-        np.testing.assert_array_equal(back, t.values)
-
     @given(
         st.integers(1, 5),
         st.integers(1, 6),

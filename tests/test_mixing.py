@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbounds.mixing import (
-    MixingPlan,
     beta_exact_discrete,
     block_indices,
     blocked_deviation_bound,
     choose_block_size,
-    make_plan,
     markov_beta_of_lag,
     stationary_distribution,
 )
@@ -49,17 +47,6 @@ class TestBlockIndices:
         for b in blocks:
             gaps = np.diff(b)
             assert np.all(gaps == m) or len(b) <= 1
-
-
-class TestPlan:
-    def test_make_plan(self):
-        plan = make_plan(7, 3, beta_m=0.1, rate_r=2.0)
-        assert plan.blocks == ((3, 6), (1, 4, 7), (2, 5))
-        assert plan.beta_m == 0.1 and plan.rate_r == 2.0
-
-    def test_beta_range_checked(self):
-        with pytest.raises(ValueError, match="beta_m"):
-            MixingPlan(n=4, m=2, blocks=((1, 3), (2, 4)), beta_m=1.5)
 
 
 class TestBetaExact:

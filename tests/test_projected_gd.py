@@ -348,7 +348,7 @@ class TestTrialChunks:
         report = coverage_experiment(config)
         model = sim.model_from_json(config["model"])
         for t in (0, 57, 99):
-            sample = sim.generate(model, 12, np.random.SeedSequence([4, t]))
+            sample = sim.generate_with_states(model, 12, np.random.SeedSequence([4, t]))[0]
             fit = erm_fit(config["class"], sample, method="projected_gd",
                           init_seed=1_000_003 + t)
             risk = sim.excess_risk_exact(fit.predict, model, 12)
@@ -365,7 +365,7 @@ class TestTrialChunks:
         _, _, states = sim._draw_trials(model, 12, seeds)
         assert len({len(set(row)) for row in states.tolist()}) >= 2
         for t in range(100):
-            sample = sim.generate(model, 12, seeds[t])
+            sample = sim.generate_with_states(model, 12, seeds[t])[0]
             fit = erm_fit(config["class"], sample, method="projected_gd",
                           init_seed=1_000_003 + t)
             risk = sim.excess_risk_exact(fit.predict, model, 12)

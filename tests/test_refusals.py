@@ -128,3 +128,27 @@ class TestOtherCommandRefusals:
         code, err = run_doc(tmp_path, capsys, "cover", dict(load("cover_greedy"), radius=-1))
         assert code == 2
         assert err == "error: cover: field 'radius' must be >= 0, got -1.0\n"
+
+    @pytest.mark.parametrize("command, name, key", [
+        ("rademacher", "rademacher_small", "mod"),
+        ("cover", "cover_greedy", "radiuss"),
+        ("entropy", "entropy_vc_classify", "d"),  # a neural_net field on a vc document
+        ("mixing-demo", "mixing_demo", "trails"),
+    ])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, command, name, key):
+        code, err = run_doc(tmp_path, capsys, command, dict(load(name), **{key: 1}))
+        assert code == 2
+        assert err == f"error: {command}: unknown fields: {key}\n"
+
+    @pytest.mark.parametrize("command, name, field, value, message", [
+        ("mixing-demo", "mixing_demo", "delta", 0,
+         "delta must lie in (n r^-n, 1) = (2.04e-08, 1), got 0.0"),
+        ("mixing-demo", "mixing_demo", "rate_r", 0, "rate_r must exceed 1, got 0.0"),
+        ("entropy", "entropy_nn_classify", "d", 0, "d and N must be >= 1"),
+        ("entropy", "entropy_vc_classify", "V", -1, "V must be nonnegative, got -1"),
+    ])
+    def test_library_domain_error_names_the_command(self, tmp_path, capsys, command, name,
+                                                    field, value, message):
+        code, err = run_doc(tmp_path, capsys, command, dict(load(name), **{field: value}))
+        assert code == 2
+        assert err == f"error: {command}: {message}\n"

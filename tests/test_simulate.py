@@ -1,13 +1,10 @@
 import dataclasses
 import itertools
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from riskbounds.hypothesis import (
     Finite,
@@ -31,13 +28,10 @@ from riskbounds.simulate import (
     erm_fit,
     exact_average_complexity,
     excess_risk_exact,
-    generate,
     generate_with_states,
     model_from_json,
     model_to_json,
     phi_grid,
-    proof_functionals,
-    response_tail_term,
     risk_of_rows,
 )
 from test_hypothesis import field_types
@@ -230,8 +224,8 @@ class TestSpecs:
             noise=NoiseSpec(kind="discrete", values=[0.3, -0.3], probs=[0.5, 0.5])
         )
         back = model_from_json(model_to_json(model))
-        a = generate(model, 50, seed=11)
-        b = generate(back, 50, seed=11)
+        a = generate_with_states(model, 50, seed=11)[0]
+        b = generate_with_states(back, 50, seed=11)[0]
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.responses, b.responses)
 
@@ -277,39 +271,15 @@ class TestPhi:
         with pytest.raises(ValueError, match="support"):
             phi_grid(model, np.array([[0.5]]), 1)
 
-    def test_tail_term(self):
-        # mean 2, B=1, no noise: overflow (|2|-1)^2 = 1 with probability 1
-        model = DataModel(
-            kind="iid",
-            covariates=CovariateSpec(
-                kind="discrete", support=np.array([0.0]), probs=np.array([1.0])
-            ),
-            mean=MeanSpec(kind="atom_table", values=np.array([2.0])),
-            noise=NoiseSpec(),
-            B=1.0,
-        )
-        assert response_tail_term(model, 5) == pytest.approx(1.0)
-
-    def test_tail_term_validation(self):
-        uni = DataModel(
-            kind="iid",
-            covariates=CovariateSpec(kind="uniform"),
-            mean=MeanSpec(kind="affine", coeffs=np.array([0.0])),
-            noise=NoiseSpec(),
-            B=1.0,
-        )
-        with pytest.raises(ValueError, match="finite-support"):
-            response_tail_term(uni, 5)
-
 
 class TestGenerate:
     def test_deterministic_in_seed(self):
         model = iid_two_atom(noise=NoiseSpec(kind="uniform", half_width=0.2))
-        a = generate(model, 40, seed=123)
-        b = generate(model, 40, seed=123)
+        a = generate_with_states(model, 40, seed=123)[0]
+        b = generate_with_states(model, 40, seed=123)[0]
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.responses, b.responses)
-        c = generate(model, 40, seed=124)
+        c = generate_with_states(model, 40, seed=124)[0]
         assert not np.array_equal(a.responses, c.responses)
 
     def test_states_index_support(self):
@@ -345,7 +315,7 @@ class TestGenerate:
 
     def test_n_validation(self):
         with pytest.raises(ValueError, match="n must"):
-            generate(iid_two_atom(), 0, seed=1)
+            generate_with_states(iid_two_atom(), 0, seed=1)
 
 
 class TestERM:
@@ -501,37 +471,6 @@ class TestExactRisk:
         )
         with pytest.raises(ValueError, match="finite-support"):
             risk_of_rows(np.array([[0.0]]), model, 3)
-
-
-class TestProofFunctionals:
-    def test_level_indices(self):
-        n = 10
-        vals = np.zeros((3, n))
-        exps = np.array([[0.1] * n, [0.05] * n, [-0.3] * n])
-        out = proof_functionals(vals, exps, np.ones(n))
-        np.testing.assert_allclose(out.w_h, [1.0, 0.5, -3.0])
-        assert out.w == pytest.approx(1.0)
-        np.testing.assert_array_equal(out.k_h, [10, 5, 0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="disagree"):
-            proof_functionals(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(4))
-
-    @given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 10**6))
-    @settings(max_examples=40)
-    def test_k_is_minimal_level(self, m, n, seed):
-        rng = np.random.default_rng(seed)
-        vals = rng.normal(size=(m, n))
-        exps = rng.normal(size=(m, n))
-        u = rng.choice([-1.0, 1.0], size=n)
-        out = proof_functionals(vals, exps, u)
-        for wh, k in zip(out.w_h, out.k_h):
-            if wh <= 0:
-                assert k == 0
-            else:
-                assert wh <= k * out.w / n + 1e-12
-                assert k == 1 or wh > (k - 1) * out.w / n - 1e-12
-                assert 1 <= k <= n
 
 
 class TestExactEnumeration:
