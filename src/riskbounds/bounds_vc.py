@@ -115,10 +115,15 @@ def constant_profile(c: float, lam: float, is_argmin: bool = False) -> ConstantP
 
 
 def epsilon_n(params: BoundParams) -> float:
-    """Critical deviation level 8B^2(-(l-1) + sqrt((l-1)^2 + c(c+1)l^2/n))."""
+    """Critical deviation level 8B^2(-(l-1) + sqrt((l-1)^2 + g)), g = c(c+1)l^2/n.
+
+    Evaluated in the rationalized form 8B^2 g / ((l-1) + sqrt((l-1)^2 + g)),
+    which adds two positive terms: the difference form cancels when g is
+    small against (l-1)^2, that is for large n.
+    """
     c, lam, n, B = params.c, params.lam, params.n, params.B
-    disc = (lam - 1.0) ** 2 + c * (c + 1.0) * lam * lam / n
-    return 8.0 * B * B * (-(lam - 1.0) + math.sqrt(disc))
+    g = c * (c + 1.0) * lam * lam / n
+    return 8.0 * B * B * g / ((lam - 1.0) + math.sqrt((lam - 1.0) ** 2 + g))
 
 
 def epsilon_n_upper(params: BoundParams) -> float:

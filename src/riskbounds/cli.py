@@ -127,7 +127,9 @@ def _epsilon_n(params: bv.BoundParams) -> tuple:
 
 
 def _refined_bound(n: int, B_n: float, delta: float, c_n: float, entropy: dict) -> float:
-    estimate = _entropy_from_doc(entropy, "bound[refined_bound].entropy")
+    where = "bound[refined_bound].entropy"
+    estimate = _entropy_from_doc(entropy, where)
+    _refuse_unknown(entropy, {"kind", *_ENTROPY_FIELDS[estimate.kind]}, where)
     return bv.refined_bound(n, B_n, delta, c_n, estimate)
 
 
@@ -183,6 +185,7 @@ def _cmd_bound(doc, seed):
     inputs = _read_field(doc, "inputs", dict, "bound")
     where = f"bound[{formula}]"
     values = _read_document(inputs, _formula_fields(formula), where)
+    _refuse_unknown(doc, ("formula", "inputs"), "bound")
     function = _formula_function(formula)
     kwargs = {}
     with _domain_errors(where):  # an entropy document's error names it already

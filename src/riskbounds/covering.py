@@ -7,9 +7,8 @@ bound the unrestricted covering number, which is what the downstream bounds
 consume.
 """
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,11 +36,6 @@ class CoveringResult:
     size: int
     method: str
     cover_indices: tuple | None = None
-
-    def to_json(self) -> str:
-        doc = asdict(self)
-        doc["indices"] = list(doc.pop("cover_indices") or [])
-        return json.dumps(doc)
 
 
 def _distances_from(values: np.ndarray, j: int) -> np.ndarray:

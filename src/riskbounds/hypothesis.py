@@ -1,7 +1,7 @@
 """Hypothesis classes, truncation, and evaluation on samples.
 
-A hypothesis class is described declaratively (finite list of functions,
-truncated linear span, or one-layer neural net) and materialized as a
+A hypothesis class is described declaratively (truncated linear span or
+one-layer neural net) and materialized, on its parameter grid, as a
 finite value table: an m x n matrix whose entry (j, k) is the value of
 candidate function j at sample point k.  All downstream complexity and
 covering computations consume these tables.
@@ -22,14 +22,12 @@ import numpy as np
 __all__ = [
     "truncate",
     "GridSpec",
-    "Finite",
     "TruncatedLinear",
     "NeuralNet",
     "SequentialSample",
     "FunctionTable",
     "evaluate_class",
     "vc_dimension_bound",
-    "class_to_json",
     "class_from_json",
 ]
 
@@ -89,41 +87,6 @@ class GridSpec:
             mesh = np.meshgrid(*arrays, indexing="ij")
             return np.stack([m.ravel() for m in mesh], axis=1)
         raise ValueError("empty parameter grid: provide axes or points")
-
-    def to_json(self) -> dict:
-        return _to_doc(self)
-
-    @staticmethod
-    def from_json(doc: dict) -> "GridSpec":
-        return _from_doc(GridSpec, doc, "grid")
-
-
-@dataclass(frozen=True)
-class Finite:
-    """Explicit finite class.
-
-    ``values`` is either a length-m vector of constants (each row is a
-    constant function) or an m x n matrix giving each function's values on a
-    sample of length n.  ``B`` is the envelope level; defaults to the largest
-    absolute value (or 1 for the all-zero class).
-    """
-
-    values: np.ndarray
-    B: float = 0.0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.size == 0:
-            raise ValueError("finite class needs at least one function")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("finite class values must be finite")
-        if self.B == 0.0:
-            object.__setattr__(self, "B", float(max(np.max(np.abs(vals)), 1.0)))
-        if self.B <= 0:
-            raise ValueError(f"B must be positive, got {self.B}")
-        if np.max(np.abs(vals)) > self.B + 1e-12:
-            raise ValueError("finite class values exceed the declared level B")
 
 
 @dataclass(frozen=True)
@@ -258,7 +221,7 @@ class NeuralNet:
                 )
 
 
-HypothesisClass = Finite | TruncatedLinear | NeuralNet
+HypothesisClass = TruncatedLinear | NeuralNet
 
 
 @dataclass(frozen=True)
@@ -280,14 +243,6 @@ class SequentialSample:
             if len(resp) != len(pts):
                 raise ValueError("responses length must match points length")
             object.__setattr__(self, "responses", resp)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -328,31 +283,17 @@ class FunctionTable:
         return float(np.sqrt(np.sum(self.envelope**2)))
 
 
-def evaluate_class(
-    cls: HypothesisClass,
-    sample: SequentialSample,
-    grid: GridSpec | None = None,
-) -> FunctionTable:
+def evaluate_class(cls: HypothesisClass, sample: SequentialSample) -> FunctionTable:
     """Materialize a hypothesis class as a value table on a sample.
 
-    Rows are grid points (candidate functions), columns are the sample
-    points.  Truncated classes produce entries in [-B, B].  Raises if the
-    grid is empty or a grid point violates the class constraints.
+    Rows are the points of the class's grid (candidate functions), columns
+    are the sample points.  Truncated classes produce entries in [-B, B].
+    Raises if the grid is absent or empty or a grid point violates the class
+    constraints.
     """
-    if isinstance(cls, Finite):
-        vals = cls.values
-        if vals.ndim == 1:
-            vals = np.tile(vals[:, None], (1, sample.n))
-        elif vals.shape[1] != sample.n:
-            raise ValueError(
-                f"finite class table has {vals.shape[1]} columns, sample has {sample.n}"
-            )
-        return FunctionTable(vals)
-
-    spec = grid if grid is not None else cls.grid
-    if spec is None:
+    if cls.grid is None:
         raise ValueError("parametric class needs a grid spec")
-    params = spec.resolve()
+    params = cls.grid.resolve()
 
     if isinstance(cls, TruncatedLinear):
         if params.shape[1] != cls.span_dim:
@@ -387,8 +328,8 @@ def evaluate_class(
 def vc_dimension_bound(cls: HypothesisClass) -> int | None:
     """Upper bound on the VC dimension of the truncated class.
 
-    A truncated span of dimension d has VC dimension at most d+1.  Finite
-    and neural-net classes return None (unknown; only entropy estimates are
+    A truncated span of dimension d has VC dimension at most d+1.
+    Neural-net classes return None (unknown; only entropy estimates are
     available for them).
     """
     if isinstance(cls, TruncatedLinear):
@@ -529,19 +470,12 @@ def _from_doc(cls, doc, where: str):
     return cls(**_read_document(doc, _kinds(cls), where))
 
 
-_CLASS_KINDS = {"finite": Finite, "truncated_linear": TruncatedLinear, "neural_net": NeuralNet}
-
-
-def class_to_json(cls: HypothesisClass) -> str:
-    """Serialize a class descriptor to a JSON document: its kind and fields."""
-    kind = next((k for k, t in _CLASS_KINDS.items() if isinstance(cls, t)), None)
-    if kind is None:
-        raise TypeError(f"unsupported class type {type(cls).__name__}")
-    return json.dumps({"kind": kind, **_to_doc(cls)})
+_CLASS_KINDS = {"truncated_linear": TruncatedLinear, "neural_net": NeuralNet}
 
 
 def class_from_json(doc: str | dict) -> HypothesisClass:
-    """Inverse of class_to_json."""
+    """A class from its JSON document (a string or its parsed object): the
+    tag ``kind``, truncated_linear or neural_net, and the class's fields."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)

@@ -6,9 +6,8 @@ sign vectors U in {-1,+1}^n.  It is kept UNNORMALIZED (no 1/n factor); every
 confidence-interval formula downstream consumes it in that convention.
 """
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +49,6 @@ class RademacherEstimate:
             raise ValueError("std_error must be nonnegative")
         if self.mode == "exact" and self.std_error != 0.0:
             raise ValueError("exact mode must report std_error 0")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _option_sums(options, probs, coords, start: int, stop: int) -> tuple:

@@ -19,9 +19,7 @@ from . import bounds_rademacher as br
 from . import bounds_vc as bv
 from .covering import EntropyEstimate
 from .hypothesis import (
-    Finite,
     FunctionTable,
-    GridSpec,
     HypothesisClass,
     NeuralNet,
     SequentialSample,
@@ -31,6 +29,7 @@ from .hypothesis import (
     _from_doc,
     _read_field,
     _read_fields,
+    _refuse_unknown,
     _to_doc,
     evaluate_class,
     truncate,
@@ -47,7 +46,6 @@ __all__ = [
     "CovariateSpec",
     "MeanSpec",
     "DataModel",
-    "model_to_json",
     "model_from_json",
     "generate_with_states",
     "ERMResult",
@@ -88,11 +86,6 @@ class NoiseSpec:
             object.__setattr__(self, "probs", p)
         if self.kind == "uniform" and self.half_width <= 0:
             raise ValueError("uniform noise needs half_width > 0")
-
-    def mean(self) -> float:
-        if self.kind == "discrete":
-            return float(self.values @ self.probs)
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -245,17 +238,10 @@ class DataModel:
         start, end = self.drift
         return np.linspace(float(start), float(end), n) if n > 1 else np.array([float(start)])
 
-    def is_stationary(self) -> bool:
-        return self.drift is None and self.covariates.probs_end is None
-
-
-def model_to_json(model: DataModel) -> dict:
-    """The model as a JSON document: its fields, in field order."""
-    return _to_doc(model)
-
 
 def model_from_json(doc: dict) -> DataModel:
-    """Inverse of model_to_json; a null, absent or empty mean is zero, noise none."""
+    """The model from its JSON document, which holds exactly the fields of
+    ``DataModel``; a null, absent or empty mean is zero, noise none."""
     return _from_doc(DataModel, doc, "model")
 
 
@@ -361,21 +347,14 @@ def generate_with_states(model: DataModel, n: int, seed) -> tuple:
 
 @dataclass(frozen=True)
 class ERMResult:
-    """Fit summary.
+    """A projected-GD network fit: its empirical squared loss, parameters,
+    predictor and step count.  The iterate is heuristic, with no
+    global-minimality guarantee."""
 
-    ``optimality`` is 'exact' for enumeration and least squares and
-    'heuristic' for projected gradient descent, whose iterate carries no
-    global-minimality guarantee.
-    """
-
-    method: str
     empirical_loss: float
-    row_index: int | None = None
-    coeffs: np.ndarray | None = None
-    predict: Callable | None = None
-    ridge_fallback: bool = False
-    optimality: str = "exact"
-    iterations: int | None = None
+    coeffs: np.ndarray
+    predict: Callable
+    iterations: int
 
 
 def _l1_project(v: np.ndarray, radius: float) -> np.ndarray:
@@ -399,105 +378,43 @@ GD_ITERATIONS = 10_000
 
 
 def erm_fit(
-    cls,
+    cls: NeuralNet,
     sample: SequentialSample,
-    method: str = "enumerate",
-    grid: GridSpec | None = None,
+    method: str = "projected_gd",
     init_seed: int = 0,
 ) -> ERMResult:
-    """Empirical squared-loss minimization over a hypothesis class.
+    """One network coverage trial's fit, replayed alone: squared-loss
+    projected gradient descent over a NeuralNet class.
 
-    Responses are truncated to [-B, B] before fitting.  Methods:
-
-    - 'enumerate': exact argmin over the finite value table (ties to the
-      lowest row index);
-    - 'least_squares': normal equations over a TruncatedLinear span, the
-      fitted function then truncated (singular systems fall back to a
-      1e-10 ridge, flagged);
-    - 'projected_gd': fixed-budget gradient descent for NeuralNet classes
-      with the output weights projected onto their constraint set after
-      every step; heuristic, no optimality claim.  The start is drawn from
-      ``default_rng(init_seed)``.  The sample's repeated points are merged
-      by ``_merge_points`` and the batched network kernel ``_fit_nn`` steps
-      on the distinct points with their counts, here for a single trial, so
-      a coverage trial's fit replays exactly through this call.  With every
-      point distinct the arithmetic is the one-fit loop's over (n, units)
-      arrays but for the order of the n-long sums: bit-equal with one unit,
-      within 1e-12 in the parameters after 300 steps with more.  Merged
-      points sum in another order again, within the same 1e-12.
+    Responses are truncated to [-B, B] before fitting.  ``method`` must be
+    'projected_gd'.  The fit takes GD_ITERATIONS fixed-size steps, projecting
+    the output weights onto their constraint set after each one; it is
+    heuristic, with no optimality claim.  The start is drawn from
+    ``default_rng(init_seed)``.  The sample's repeated points are merged by
+    ``_merge_points`` and the batched network kernel ``_fit_nn`` steps on the
+    distinct points with their counts, here for a single trial, so a coverage
+    trial's fit replays exactly through this call.  With every point distinct
+    the arithmetic is the one-fit loop's over (n, units) arrays but for the
+    order of the n-long sums: bit-equal with one unit, within 1e-12 in the
+    parameters after 300 steps with more.  Merged points sum in another order
+    again, within the same 1e-12.
     """
     if sample.responses is None:
         raise ValueError("erm_fit needs responses")
+    if method != "projected_gd":
+        raise ValueError(f"unknown method {method!r}; erm_fit fits by 'projected_gd' only")
+    if not isinstance(cls, NeuralNet):
+        raise ValueError(f"projected_gd requires a NeuralNet class, got {type(cls).__name__}")
     targets = truncate(sample.responses, cls.B)
-
-    if method == "enumerate":
-        table = evaluate_class(cls, sample, grid)
-        losses = np.sum((table.values - targets[None, :]) ** 2, axis=1)
-        j = int(np.argmin(losses))
-        params = None
-        if not isinstance(cls, Finite):
-            params = (grid if grid is not None else cls.grid).resolve()[j]
-        row = table.values[j].copy()
-        return ERMResult(
-            method=method,
-            empirical_loss=float(losses[j]),
-            row_index=j,
-            coeffs=params,
-            predict=_row_predictor(cls, params, row),
-        )
-
-    if method == "least_squares":
-        if not isinstance(cls, TruncatedLinear):
-            raise ValueError("least_squares requires a TruncatedLinear class")
-        design = cls.basis_matrix(sample.points)
-        gram = design.T @ design
-        rhs = design.T @ targets
-        ridge = False
-        try:
-            theta = np.linalg.solve(gram, rhs)
-            if not np.all(np.isfinite(theta)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            theta = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs)
-            ridge = True
-        B = cls.B
-
-        def predict(points, theta=theta, cls=cls, B=B):
-            return truncate(cls.basis_matrix(points) @ theta, B)
-
-        loss = float(np.sum((predict(sample.points) - targets) ** 2))
-        return ERMResult(
-            method=method,
-            empirical_loss=loss,
-            coeffs=theta,
-            predict=predict,
-            ridge_fallback=ridge,
-        )
-
-    if method == "projected_gd":
-        if not isinstance(cls, NeuralNet):
-            raise ValueError("projected_gd requires a NeuralNet class")
-        x = sample.points.reshape(-1, cls.dim)
-        merged = (a[None] for a in _merge_points(x, targets))
-        theta = _fit_nn(cls, *merged, [init_seed])[0]
-        return ERMResult(
-            method=method,
-            empirical_loss=float(np.sum((cls.predict(theta, x) - targets) ** 2)),
-            coeffs=theta,
-            predict=_row_predictor(cls, theta, None),
-            optimality="heuristic",
-            iterations=GD_ITERATIONS,
-        )
-
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _row_predictor(cls, params, row):
-    if isinstance(cls, TruncatedLinear):
-        return lambda pts: truncate(cls.basis_matrix(pts) @ params, cls.B)
-    if isinstance(cls, NeuralNet):
-        return lambda pts: cls.predict(params, pts)
-    return None  # explicit finite tables are only defined on their sample
+    x = sample.points.reshape(-1, cls.dim)
+    merged = (a[None] for a in _merge_points(x, targets))
+    theta = _fit_nn(cls, *merged, [init_seed])[0]
+    return ERMResult(
+        empirical_loss=float(np.sum((cls.predict(theta, x) - targets) ** 2)),
+        coeffs=theta,
+        predict=lambda pts: cls.predict(theta, pts),
+        iterations=GD_ITERATIONS,
+    )
 
 
 def _merge_points(x: np.ndarray, targets: np.ndarray) -> tuple:
@@ -771,7 +688,9 @@ def coverage_experiment(config: dict) -> CoverageReport:
 
     Per-trial randomness derives from (base_seed, trial index); the report
     is bit-identical across runs with the same config.  Every field is read
-    once, by ``_read_field``; 'base_seed' defaults to 0.
+    once, by ``_read_field``; 'base_seed' defaults to 0.  A key that is
+    neither a common field nor one of the chosen bound's is refused, after
+    every field is read.
     """
     bound = _read_field(config, "bound", str, "coverage")
     model = _read_field(config, "model", DataModel, "coverage")
@@ -787,16 +706,21 @@ def coverage_experiment(config: dict) -> CoverageReport:
     base_seed = _read_field(config, "base_seed", int | None, "coverage") or 0
     if base_seed < 0:
         raise ValueError(f"coverage: field 'base_seed' must be >= 0, got {base_seed}")
-    # each returns the bound, statistic, details and work floats of _run_trials
+    # each experiment returns the bound, statistic, details and work floats of
+    # _run_trials; beside it, the fields it reads
     experiments = {
-        "rademacher_ci": _experiment_rademacher_ci,
-        "bounded_class_ci": _experiment_bounded_class_ci,
-        "mixing_rademacher_ci": _experiment_mixing_ci,
-        "nn_generalization_ci": _experiment_nn_ci,
+        "rademacher_ci": (_experiment_rademacher_ci, ("values", "nonnegative_family")),
+        "bounded_class_ci": (_experiment_bounded_class_ci,
+                             ("class", "use_optimized_constants", "c", "lam")),
+        "mixing_rademacher_ci": (_experiment_mixing_ci, ("values", "rate_r")),
+        "nn_generalization_ci": (_experiment_nn_ci, ("class", "truth_params", "inf_risk")),
     }
     if bound not in experiments:
         raise ValueError(f"coverage: unknown bound formula {bound!r}")
-    setup = experiments[bound](config, model, n, delta)
+    experiment, own = experiments[bound]
+    setup = experiment(config, model, n, delta)
+    _refuse_unknown(config, {"bound", "model", "n", "trials", "delta", "base_seed", *own},
+                    "coverage")
     return _run_trials(bound, model, n, delta, trials, base_seed, *setup)
 
 

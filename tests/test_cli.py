@@ -346,9 +346,8 @@ class TestBoundCommand:
         ids=["field", "nested"],
     )
     def test_unread_number_beyond_float_range_is_named(self, tmp_path, capsys, extra, path):
-        text = ('{"formula": "deviation_tail", '
-                f'"inputs": {{"epsilon": 2.0, "envelope_l2_sup": 1.0}}, {extra}}}')
-        code, out, err = run_text(tmp_path, capsys, "bound", text)
+        # every other command refuses a key it does not read; this one reads no key
+        code, out, err = run_text(tmp_path, capsys, "optimize-constants", f"{{{extra}}}")
         assert code == 2
         assert out == ""
         assert f"field {path!r} must be finite" in err

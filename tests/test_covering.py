@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -39,10 +38,6 @@ class TestGreedyCover:
     def test_negative_radius(self):
         with pytest.raises(ValueError, match="radius"):
             greedy_cover(CHAIN, -0.5)
-
-    def test_json_lists_indices(self):
-        doc = json.loads(greedy_cover(CHAIN, 1.0).to_json())
-        assert doc["indices"] == [0, 2] and doc["size"] == 2
 
     @given(st.integers(1, 10), st.integers(1, 4), st.floats(0.0, 3.0), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbounds.hypothesis import (
-    Finite,
     FunctionTable,
     GridSpec,
     NeuralNet,
     SequentialSample,
     TruncatedLinear,
+    _from_doc,
     _to_doc,
     class_from_json,
-    class_to_json,
     evaluate_class,
     logistic,
     truncate,
@@ -86,34 +85,6 @@ class TestGridSpec:
             GridSpec().resolve()
         with pytest.raises(ValueError, match="empty"):
             GridSpec(axes=(np.array([]),)).resolve()
-
-    def test_json_roundtrip(self):
-        g = GridSpec(axes=(np.array([0.0, 0.5]), np.array([1.0])))
-        g2 = GridSpec.from_json(g.to_json())
-        np.testing.assert_array_equal(g.resolve(), g2.resolve())
-
-
-class TestFinite:
-    def test_constant_rows_tiled(self):
-        cls = Finite(values=np.array([1.0, -2.0]))
-        sample = SequentialSample(points=np.zeros((3, 1)))
-        table = evaluate_class(cls, sample)
-        np.testing.assert_array_equal(
-            table.values, [[1.0, 1.0, 1.0], [-2.0, -2.0, -2.0]]
-        )
-
-    def test_default_level_is_max_abs(self):
-        assert Finite(values=np.array([1.0, -3.0])).B == 3.0
-        assert Finite(values=np.array([0.0])).B == 1.0
-
-    def test_values_above_level_rejected(self):
-        with pytest.raises(ValueError, match="exceed"):
-            Finite(values=np.array([5.0]), B=1.0)
-
-    def test_column_mismatch_rejected(self):
-        cls = Finite(values=np.array([[1.0, 2.0]]))
-        with pytest.raises(ValueError, match="columns"):
-            evaluate_class(cls, SequentialSample(points=np.zeros((3, 1))))
 
 
 class TestTruncatedLinear:
@@ -204,7 +175,6 @@ class TestSampleAndTable:
     def test_sample_auto_2d(self):
         s = SequentialSample(points=np.array([1.0, 2.0, 3.0]))
         assert s.points.shape == (3, 1)
-        assert s.n == 3 and s.dim == 1
 
     def test_responses_length_checked(self):
         with pytest.raises(ValueError, match="length"):
@@ -245,12 +215,10 @@ class TestVCDimensionBound:
         )
 
     def test_unknown_for_finite_and_nets(self):
-        assert vc_dimension_bound(Finite(values=np.array([1.0]))) is None
         assert vc_dimension_bound(NeuralNet(dim=1, units=1, B=1.0)) is None
 
 
 SERIALIZED_CLASSES = [
-    Finite(values=np.array([[0.5, -0.5], [1.0, 0.0]])),
     TruncatedLinear(
         basis="affine",
         dim=1,
@@ -268,10 +236,16 @@ SERIALIZED_CLASSES = [
 ]
 
 
+def _class_document(cls) -> str:
+    """The class's tagged JSON document: its kind and its fields in order."""
+    kind = {TruncatedLinear: "truncated_linear", NeuralNet: "neural_net"}[type(cls)]
+    return json.dumps({"kind": kind, **_to_doc(cls)})
+
+
 class TestSerialization:
     @pytest.mark.parametrize("cls", SERIALIZED_CLASSES)
     def test_roundtrip_preserves_tables(self, cls):
-        doc = class_to_json(cls)
+        doc = _class_document(cls)
         assert isinstance(json.loads(doc), dict)
         cls2 = class_from_json(doc)
         assert _to_doc(cls2) == _to_doc(cls)
@@ -300,6 +274,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^class\.grid: unknown fields: axis$"):
             class_from_json({**net, "grid": {"axis": [[0.0, 1.0]]}})
 
+    def test_finite_kind_is_refused(self):
+        doc = {"kind": "finite", "values": [[0.5, -0.5]], "B": 1.0}
+        with pytest.raises(ValueError, match="^class: field 'kind' must be one of "
+                                             "truncated_linear, neural_net, got 'finite'$"):
+            class_from_json(doc)
+
 
 # ---------------------------------------------------------------------------
 # JSON documents: the field-driven codec against the hand-written one it
@@ -319,9 +299,7 @@ def _ref_grid_from_json(doc):
 
 
 def _ref_class_to_json(cls):
-    if isinstance(cls, Finite):
-        doc = {"kind": "finite", "values": cls.values.tolist(), "B": cls.B}
-    elif isinstance(cls, TruncatedLinear):
+    if isinstance(cls, TruncatedLinear):
         doc = {
             "kind": "truncated_linear",
             "basis": cls.basis,
@@ -348,8 +326,6 @@ def _ref_class_from_json(doc):
     if isinstance(doc, str):
         doc = json.loads(doc)
     kind = doc.get("kind")
-    if kind == "finite":
-        return Finite(values=np.asarray(doc["values"], dtype=float), B=doc.get("B", 0.0))
     if kind == "truncated_linear":
         return TruncatedLinear(
             basis=doc["basis"],
@@ -403,15 +379,12 @@ def field_types(obj):
 def _table_of(cls):
     """The class's table on a fixed sample; a network without a grid gets one
     inside its constraint set."""
-    if isinstance(cls, Finite):
-        n = cls.values.shape[1] if cls.values.ndim == 2 else 3
-        return evaluate_class(cls, SequentialSample(points=np.zeros((n, 1))))
     points = np.linspace(-1.0, 1.0, 7 * cls.dim).reshape(7, cls.dim)
-    grid = None
     if isinstance(cls, NeuralNet) and cls.grid is None:
         c = np.full(cls.units + 1, cls.B / (2 * (cls.units + 1)))
-        grid = GridSpec(points=np.concatenate([np.linspace(-1.0, 1.0, cls.units * (cls.dim + 1)), c]))
-    return evaluate_class(cls, SequentialSample(points=points), grid)
+        cls = replace(cls, grid=GridSpec(
+            points=np.concatenate([np.linspace(-1.0, 1.0, cls.units * (cls.dim + 1)), c])))
+    return evaluate_class(cls, SequentialSample(points=points))
 
 
 class TestClassDocuments:
@@ -424,7 +397,7 @@ class TestClassDocuments:
         assert field_types(got) == field_types(want)
         assert _table_of(got).values.tobytes() == _table_of(want).values.tobytes()
         # the encoders differ only in the grid's unused key, now written as null
-        new, ref = json.loads(class_to_json(got)), json.loads(_ref_class_to_json(want))
+        new, ref = json.loads(_class_document(got)), json.loads(_ref_class_to_json(want))
         if new.get("grid") is not None:
             new["grid"] = {k: v for k, v in new["grid"].items() if v is not None}
         assert new == ref
@@ -440,8 +413,8 @@ class TestClassDocuments:
         GridSpec(points=np.array([[1.0, 2.0], [3.0, -1.0]])),
     ], ids=["axes", "points"])
     def test_grid_document(self, grid):
-        doc = grid.to_json()
+        doc = _to_doc(grid)
         assert list(doc) == ["axes", "points"]
         assert {k: v for k, v in doc.items() if v is not None} == _ref_grid_to_json(grid)
-        back = GridSpec.from_json(json.loads(json.dumps(doc)))
+        back = _from_doc(GridSpec, json.loads(json.dumps(doc)), "grid")
         assert back.resolve().tobytes() == _ref_grid_from_json(doc).resolve().tobytes()

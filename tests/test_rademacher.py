@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -138,11 +137,6 @@ class TestEstimateRecord:
     def test_exact_requires_zero_error(self):
         with pytest.raises(ValueError, match="std_error"):
             RademacherEstimate(value=1.0, std_error=0.1, draws=4, mode="exact")
-
-    def test_json(self):
-        est = rademacher_exact(IDENTITY_2)
-        doc = json.loads(est.to_json())
-        assert doc["mode"] == "exact" and doc["value"] == pytest.approx(0.5)
 
 
 class TestFiniteClassBound:

@@ -152,3 +152,37 @@ class TestOtherCommandRefusals:
         code, err = run_doc(tmp_path, capsys, command, dict(load(name), **{field: value}))
         assert code == 2
         assert err == f"error: {command}: {message}\n"
+
+
+def _with_key(name: str, path: tuple, key: str, value) -> dict:
+    """Request ``name`` with ``key: value`` added to its object at ``path``."""
+    doc = load(name)
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return doc
+
+
+class TestUnknownKeysOfEveryDocument:
+    @pytest.mark.parametrize("command, name, path, key, where", [
+        ("coverage", "coverage_c7a_iid", (), "nonnegative_famly", "coverage"),
+        # a field of another experiment is no field of this one
+        ("coverage", "coverage_c7b", (), "nonnegative_family", "coverage"),
+        ("bound", "bound_epsilon_n", (), "input", "bound"),
+        ("bound", "bound_refined_bound", ("inputs", "entropy"), "Vv",
+         "bound[refined_bound].entropy"),
+    ])
+    def test_unknown_key_exits_two_naming_it(self, tmp_path, capsys, command, name, path, key,
+                                             where):
+        code, err = run_doc(tmp_path, capsys, command, _with_key(name, path, key, True))
+        assert code == 2
+        assert err == f"error: {where}: unknown fields: {key}\n"
+
+    def test_finite_class_kind_is_refused(self, tmp_path, capsys):
+        doc = load("coverage_c7b")
+        doc["class"] = {"kind": "finite", "values": [[0.5, -0.5]], "B": 1.0}
+        code, err = run_doc(tmp_path, capsys, "coverage", doc)
+        assert code == 2
+        assert err == ("error: class: field 'kind' must be one of truncated_linear, neural_net, "
+                       "got 'finite'\n")

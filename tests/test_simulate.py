@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from riskbounds.hypothesis import (
-    Finite,
     GridSpec,
     NeuralNet,
     SequentialSample,
@@ -20,7 +19,6 @@ from riskbounds.simulate import (
     CovariateSpec,
     CoverageReport,
     DataModel,
-    ERMResult,
     MeanSpec,
     NoiseSpec,
     coverage_experiment,
@@ -30,7 +28,6 @@ from riskbounds.simulate import (
     excess_risk_exact,
     generate_with_states,
     model_from_json,
-    model_to_json,
     phi_grid,
     risk_of_rows,
 )
@@ -114,11 +111,6 @@ class TestSpecs:
     def test_covariate_distribution_covers_the_support(self):
         with pytest.raises(ValueError, match="'probs_end' must be a distribution over the 2 "):
             CovariateSpec(kind="discrete", support=[0.0, 1.0], probs=[0.5, 0.5], probs_end=[1.0])
-
-    def test_noise_mean(self):
-        sp = NoiseSpec(kind="discrete", values=[1.0, -1.0], probs=[0.75, 0.25])
-        assert sp.mean() == pytest.approx(0.5)
-        assert NoiseSpec(kind="uniform", half_width=1.0).mean() == 0.0
 
     def test_covariate_pmf_tiled(self):
         cov = CovariateSpec(
@@ -217,13 +209,12 @@ class TestSpecs:
             drift=(-1.0, 1.0),
         )
         np.testing.assert_allclose(model.drift_offsets(5), [-1.0, -0.5, 0.0, 0.5, 1.0])
-        assert not model.is_stationary()
 
     def test_json_roundtrip_reproduces_samples(self):
         model = iid_two_atom(
             noise=NoiseSpec(kind="discrete", values=[0.3, -0.3], probs=[0.5, 0.5])
         )
-        back = model_from_json(model_to_json(model))
+        back = model_from_json(_to_doc(model))
         a = generate_with_states(model, 50, seed=11)[0]
         b = generate_with_states(back, 50, seed=11)[0]
         np.testing.assert_array_equal(a.points, b.points)
@@ -319,62 +310,15 @@ class TestGenerate:
 
 
 class TestERM:
-    def test_constant_class_picks_nearest_to_truncated_mean(self):
-        cls = Finite(values=np.array([0.0, 1.0]), B=1.0)
-        sample = SequentialSample(
-            points=np.zeros((3, 1)), responses=np.array([0.5, 0.7, 0.9])
-        )
-        fit = erm_fit(cls, sample, method="enumerate")
-        assert fit.row_index == 1  # mean 0.7 is nearer to 1
-        assert fit.optimality == "exact"
-        assert fit.empirical_loss == pytest.approx(0.25 + 0.09 + 0.01)
+    def test_truncation_applied_before_fitting(self, monkeypatch):
+        import riskbounds.simulate as sim
 
-    def test_truncation_applied_before_fitting(self):
-        cls = Finite(values=np.array([0.0, 1.0]), B=1.0)
-        sample = SequentialSample(
-            points=np.zeros((2, 1)), responses=np.array([50.0, 50.0])
-        )
-        fit = erm_fit(cls, sample, method="enumerate")
-        assert fit.row_index == 1
-        assert fit.empirical_loss == pytest.approx(0.0)
-
-    def test_ties_break_to_lowest_row(self):
-        cls = Finite(values=np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]), B=1.0)
-        sample = SequentialSample(
-            points=np.zeros((2, 1)), responses=np.array([0.1, 0.9])
-        )
-        assert erm_fit(cls, sample, method="enumerate").row_index == 0
-
-    def test_least_squares_recovers_slope(self):
-        cls = TruncatedLinear(basis="linear", dim=1, B=5.0)
-        x = np.linspace(-1.0, 1.0, 30)[:, None]
-        sample = SequentialSample(points=x, responses=2.0 * x.ravel())
-        fit = erm_fit(cls, sample, method="least_squares")
-        assert fit.coeffs[0] == pytest.approx(2.0, abs=1e-10)
-        assert fit.empirical_loss == pytest.approx(0.0, abs=1e-18)
-        assert not fit.ridge_fallback
-        np.testing.assert_allclose(fit.predict(np.array([[0.25]])), [0.5])
-
-    def test_least_squares_truncates_prediction(self):
-        cls = TruncatedLinear(basis="linear", dim=1, B=1.0)
-        x = np.array([[0.1], [0.2], [0.3]])
-        sample = SequentialSample(points=x, responses=np.array([0.5, 1.0, 1.5]))
-        fit = erm_fit(cls, sample, method="least_squares")
-        assert float(fit.predict(np.array([[10.0]]))[0]) == 1.0
-
-    def test_singular_design_flags_ridge(self):
-        cls = TruncatedLinear(basis="affine", dim=1, B=1.0)
-        x = np.ones((4, 1))
-        sample = SequentialSample(points=x, responses=np.array([0.1, 0.2, 0.3, 0.4]))
-        fit = erm_fit(cls, sample, method="least_squares")
-        assert fit.ridge_fallback
-        assert np.all(np.isfinite(fit.coeffs))
-
-    def test_least_squares_needs_linear_class(self):
-        cls = Finite(values=np.array([0.0]))
-        sample = SequentialSample(points=np.zeros((2, 1)), responses=np.zeros(2))
-        with pytest.raises(ValueError, match="TruncatedLinear"):
-            erm_fit(cls, sample, method="least_squares")
+        monkeypatch.setattr(sim, "GD_ITERATIONS", 300)
+        cls = NeuralNet(dim=1, units=1, B=1.0)
+        x = np.array([[0.0], [0.5]])
+        fit = erm_fit(cls, SequentialSample(points=x, responses=np.array([50.0, 50.0])))
+        assert fit.iterations == 300
+        assert fit.empirical_loss == float(np.sum((fit.predict(x) - 1.0) ** 2))
 
     def test_projected_gd_respects_constraints(self):
         cls = NeuralNet(dim=1, units=2, B=1.5, mode="joint")
@@ -382,8 +326,6 @@ class TestERM:
         x = rng.uniform(-1, 1, size=(20, 1))
         y = 0.8 * x.ravel()
         fit = erm_fit(cls, SequentialSample(points=x, responses=y), method="projected_gd")
-        assert fit.method == "projected_gd"
-        assert fit.optimality == "heuristic"
         assert fit.iterations == 10_000
         _, _, c = cls.split_params(fit.coeffs)
         assert np.sum(np.abs(c)) <= cls.B + 1e-9
@@ -391,19 +333,28 @@ class TestERM:
         assert fit.empirical_loss <= float(np.sum(y**2)) + 1e-9
 
     def test_projected_gd_needs_network(self):
-        cls = Finite(values=np.array([0.0]))
+        cls = TruncatedLinear(basis="linear", dim=1, B=1.0, grid=GridSpec(points=[[0.5]]))
         sample = SequentialSample(points=np.zeros((2, 1)), responses=np.zeros(2))
-        with pytest.raises(ValueError, match="NeuralNet"):
+        with pytest.raises(ValueError, match="^projected_gd requires a NeuralNet class, "
+                                             "got TruncatedLinear$"):
             erm_fit(cls, sample, method="projected_gd")
 
     def test_unknown_method(self):
-        cls = Finite(values=np.array([0.0]))
+        cls = NeuralNet(dim=1, units=1, B=1.0)
         sample = SequentialSample(points=np.zeros((2, 1)), responses=np.zeros(2))
         with pytest.raises(ValueError, match="method"):
             erm_fit(cls, sample, method="annealing")
 
+    @pytest.mark.parametrize("method", ["enumerate", "least_squares"])
+    def test_removed_methods_are_refused_by_name(self, method):
+        cls = NeuralNet(dim=1, units=1, B=1.0)
+        sample = SequentialSample(points=np.zeros((2, 1)), responses=np.zeros(2))
+        with pytest.raises(ValueError, match=f"^unknown method '{method}'; erm_fit fits by "
+                                             "'projected_gd' only$"):
+            erm_fit(cls, sample, method=method)
+
     def test_missing_responses(self):
-        cls = Finite(values=np.array([0.0]))
+        cls = NeuralNet(dim=1, units=1, B=1.0)
         with pytest.raises(ValueError, match="responses"):
             erm_fit(cls, SequentialSample(points=np.zeros((2, 1))))
 
@@ -616,7 +567,6 @@ class TestCoverageExperiments:
             axes=(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
         )
         cls = TruncatedLinear(basis="affine", dim=1, B=1.0, grid=grid)
-        from riskbounds.hypothesis import class_to_json
 
         cfg = {
             "bound": "bounded_class_ci",
@@ -633,7 +583,7 @@ class TestCoverageExperiments:
                     "kind": "discrete", "values": [0.2, -0.2], "probs": [0.5, 0.5]
                 },
             },
-            "class": class_to_json(cls),
+            "class": json.dumps({"kind": "truncated_linear", **_to_doc(cls)}),
             "c": 2.0,
             "lam": 2.0,
             "n": 60,
@@ -886,8 +836,8 @@ class TestModelDocuments:
         assert field_types(got) == field_types(want)
         _assert_same_samples(got, want)
         # the encoders differ only in key order
-        assert model_to_json(got) == _ref_model_to_json(want)
-        assert list(model_to_json(got)) == [f.name for f in dataclasses.fields(DataModel)]
+        assert _to_doc(got) == _ref_model_to_json(want)
+        assert list(_to_doc(got)) == [f.name for f in dataclasses.fields(DataModel)]
 
     @pytest.mark.parametrize("model", [
         DataModel(kind="iid", B=2.0,
@@ -908,7 +858,7 @@ class TestModelDocuments:
                   noise=NoiseSpec(kind="none")),
     ], ids=["uniform-uniform-noise", "drift-probs-end-discrete-noise", "markov-atom-table"])
     def test_roundtrip_each_kind(self, model):
-        doc = json.loads(json.dumps(model_to_json(model), allow_nan=False))
+        doc = json.loads(json.dumps(_to_doc(model), allow_nan=False))
         back = model_from_json(doc)
         assert _to_doc(back) == _to_doc(model)
         assert field_types(back) == field_types(model)
@@ -948,18 +898,19 @@ class TestReportDocument:
         import riskbounds.simulate as sim
 
         monkeypatch.setattr(sim, "GD_ITERATIONS", 20)
+        common = {k: v for k, v in BASE_RAD_CONFIG.items() if k != "values"}
         configs = {
             "rademacher_ci": dict(BASE_RAD_CONFIG),
             "mixing_rademacher_ci": dict(
                 BASE_RAD_CONFIG, bound=bound, model=DOCUMENT_MODELS["acceptance-MARKOV_MODEL"],
                 rate_r=1.25, n=120),
             "bounded_class_ci": dict(
-                BASE_RAD_CONFIG, bound=bound, c=2.0, lam=2.0, n=60,
+                common, bound=bound, c=2.0, lam=2.0, n=60,
                 model=DOCUMENT_MODELS["acceptance-REGRESSION_MODEL"],
                 **{"class": TruncatedLinear(basis="affine", dim=1, B=1.0, grid=GridSpec(
                     axes=(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))))}),
             "nn_generalization_ci": dict(
-                BASE_RAD_CONFIG, bound=bound, truth_params=[0.0] * 4,
+                common, bound=bound, truth_params=[0.0] * 4,
                 **{"class": NeuralNet(dim=1, units=1, B=1.0)}),
         }
         report = coverage_experiment(configs[bound])
