@@ -35,9 +35,7 @@ from . import bounds_rademacher as br
 from . import bounds_vc as bv
 from . import covering
 from .covering import EntropyEstimate, classify_entropy, exact_cover_size, greedy_cover
-from .hypothesis import (
-    FunctionTable, _kinds, _read_document, _read_field, _read_fields, _refuse_unknown,
-)
+from .hypothesis import FunctionTable, _kinds, _read_document, _read_field
 from .mixing import (
     _check_stochastic,
     block_indices,
@@ -57,30 +55,12 @@ __all__ = ["main"]
 # parameter document helpers
 
 
-def _non_finite_path(value, path: str = ""):
-    """The JSON path of the first non-finite number in a parsed document, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
-    elif isinstance(value, list):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    for sub_path, item in items:
-        found = _non_finite_path(item, sub_path)
-        if found is not None:
-            return found
-    return None
-
-
-def _load_table(doc: dict, where: str) -> FunctionTable:
+def _load_table(values: np.ndarray | None, csv: str | None, where: str) -> FunctionTable:
     """Value table from inline 'values' or a 'csv' path (rows=functions)."""
-    source = _read_fields(doc, {"values": np.ndarray | None, "csv": str | None}, where)
-    if "values" in source:
-        return FunctionTable(source["values"])
-    if "csv" in source:
-        return FunctionTable(np.loadtxt(source["csv"], delimiter=",", ndmin=2))
+    if values is not None:
+        return FunctionTable(values)
+    if csv is not None:
+        return FunctionTable(np.loadtxt(csv, delimiter=",", ndmin=2))
     raise ValueError(f"{where}: provide 'values' (inline rows) or 'csv' (path)")
 
 
@@ -106,16 +86,16 @@ def _domain_errors(where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
-_ENTROPY_FIELDS = {"vc": {"V": int, "B": float}, "neural_net": {"d": int, "N": int, "B": float}}
-
-
-def _entropy_from_doc(doc: dict, where: str) -> EntropyEstimate:
+def _read_entropy(doc: dict, own: dict, where: str) -> tuple:
+    """An entropy document's estimate and the values read: the tag ``kind``,
+    the parameters of the ``EntropyEstimate`` evaluator it names, and ``own``."""
     kind = _read_field(doc, "kind", str, where)
-    if kind not in _ENTROPY_FIELDS:
+    if kind not in ("vc", "neural_net"):
         raise ValueError(f"{where}: field 'kind' must be 'vc' or 'neural_net', got {kind!r}")
-    fields = _read_fields(doc, _ENTROPY_FIELDS[kind], where)
+    evaluator = getattr(EntropyEstimate, kind)
+    values = _read_document(doc, {"kind": str, **_kinds(evaluator), **own}, where)
     with _domain_errors(where):
-        return getattr(EntropyEstimate, kind)(**fields)
+        return evaluator(**{name: values[name] for name in _kinds(evaluator)}), values
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +107,7 @@ def _epsilon_n(params: bv.BoundParams) -> tuple:
 
 
 def _refined_bound(n: int, B_n: float, delta: float, c_n: float, entropy: dict) -> float:
-    where = "bound[refined_bound].entropy"
-    estimate = _entropy_from_doc(entropy, where)
-    _refuse_unknown(entropy, {"kind", *_ENTROPY_FIELDS[estimate.kind]}, where)
+    estimate, _ = _read_entropy(entropy, {}, "bound[refined_bound].entropy")
     return bv.refined_bound(n, B_n, delta, c_n, estimate)
 
 
@@ -178,14 +156,13 @@ def _formula_fields(formula: str) -> MappingProxyType:
 
 
 def _cmd_bound(doc, seed):
-    formula = _read_field(doc, "formula", str, "bound")
+    fields = _read_document(doc, {"formula": str, "inputs": dict}, "bound")
+    formula = fields["formula"]
     if formula not in _FORMULAS:
         known = ", ".join(sorted(_FORMULAS))
         raise ValueError(f"bound: unknown formula {formula!r}; known formulas: {known}")
-    inputs = _read_field(doc, "inputs", dict, "bound")
     where = f"bound[{formula}]"
-    values = _read_document(inputs, _formula_fields(formula), where)
-    _refuse_unknown(doc, ("formula", "inputs"), "bound")
+    values = _read_document(fields["inputs"], _formula_fields(formula), where)
     function = _formula_function(formula)
     kwargs = {}
     with _domain_errors(where):  # an entropy document's error names it already
@@ -202,15 +179,16 @@ def _cmd_bound(doc, seed):
 
 
 def _cmd_optimize_constants(doc, seed):
+    _read_document(doc, {}, "optimize-constants")  # it reads no field
     return asdict(bv.optimize_v()), None
 
 
 @_domain_errors("rademacher")
 def _cmd_rademacher(doc, seed):
-    table = _load_table(doc, "rademacher")
-    opts = _read_fields(doc, {"mode": str | None, "draws": int | None}, "rademacher")
-    _refuse_unknown(doc, ("values", "csv", "mode", "draws"), "rademacher")
-    mode, draws = opts.get("mode", "auto"), opts.get("draws", 1000)
+    fields = _read_document(doc, {"values": np.ndarray | None, "csv": str | None,
+                                  "mode": str | None, "draws": int | None}, "rademacher")
+    table = _load_table(fields.get("values"), fields.get("csv"), "rademacher")
+    mode, draws = fields.get("mode", "auto"), fields.get("draws", 1000)
     if draws < 100:
         raise ValueError(f"rademacher: field 'draws' must be >= 100, got {draws}")
     if mode not in ("auto", "exact", "monte_carlo"):
@@ -220,7 +198,7 @@ def _cmd_rademacher(doc, seed):
         mode = "exact" if table.n <= EXACT_MAX_N else "monte_carlo"
     if mode == "exact":
         if table.n > EXACT_MAX_N:
-            source = "values" if "values" in doc else "csv"
+            source = "values" if "values" in fields else "csv"
             raise ValueError(f"rademacher: field 'mode' is exact, which enumerates at most "
                              f"{EXACT_MAX_N} columns, but the table in field {source!r} has "
                              f"{table.n}; use mode: monte_carlo")
@@ -240,12 +218,13 @@ def _cmd_rademacher(doc, seed):
 
 @_domain_errors("cover")
 def _cmd_cover(doc, seed):
-    table = _load_table(doc, "cover")
-    radius = _read_field(doc, "radius", float, "cover")
+    fields = _read_document(doc, {"values": np.ndarray | None, "csv": str | None,
+                                  "radius": float, "method": str | None}, "cover")
+    table = _load_table(fields.get("values"), fields.get("csv"), "cover")
+    radius = fields["radius"]
     if radius < 0:
         raise ValueError(f"cover: field 'radius' must be >= 0, got {radius}")
-    method = _read_fields(doc, {"method": str | None}, "cover").get("method", "greedy")
-    _refuse_unknown(doc, ("values", "csv", "radius", "method"), "cover")
+    method = fields.get("method", "greedy")
     if method == "greedy":
         result = greedy_cover(table, radius)
     elif method == "exact":
@@ -263,20 +242,19 @@ def _cmd_cover(doc, seed):
 
 @_domain_errors("entropy")
 def _cmd_entropy(doc, seed):
-    estimate = _entropy_from_doc(doc, "entropy")
-    radii = _read_field(doc, "radii", np.ndarray | None, "entropy")
-    name, radii = ("r", [_read_field(doc, "r", float, "entropy")]) if radii is None else (
-        "radii", radii.ravel().tolist())
+    estimate, fields = _read_entropy(
+        doc, {"radii": np.ndarray | None, "r": float | None, "classify": bool | None}, "entropy")
+    name = "radii" if "radii" in fields else "r"
+    if name not in fields:
+        raise ValueError("entropy: missing required field 'r'")
+    radii = np.ravel(fields[name]).tolist()
     lo, hi = estimate.validity
     if not all(lo < r <= hi for r in radii):
         raise ValueError(f"entropy: field {name!r} must lie in the validity range ({lo}, {hi}], "
                          f"got {radii}")
     values = [{"r": r, "entropy": estimate(r)} for r in radii]
     outputs = {"kind": estimate.kind, "validity": list(estimate.validity), "values": values}
-    classify = _read_field(doc, "classify", bool | None, "entropy")
-    _refuse_unknown(doc, {"kind", *_ENTROPY_FIELDS[estimate.kind], "radii", "r", "classify"},
-                    "entropy")
-    if classify:
+    if fields.get("classify"):
         tag = classify_entropy(estimate)
         outputs["tag"] = {"kind": tag.kind, "alpha": tag.alpha}
     rows = [("r,entropy", [f"{v['r']},{v['entropy']}" for v in values])]
@@ -286,16 +264,13 @@ def _cmd_entropy(doc, seed):
 @_domain_errors("mixing-demo")
 def _cmd_mixing_demo(doc, seed):
     """Blocked tail bound vs empirical frequencies on a simulated chain."""
-    P = _check_stochastic(_read_field(doc, "transition", np.ndarray, "mixing-demo"))
-    n = _read_field(doc, "n", int, "mixing-demo")
+    opts = _read_document(doc, {"transition": np.ndarray, "n": int, "delta": float, "rate_r": float,
+                                "trials": int | None, "h_values": np.ndarray | None,
+                                "thresholds": np.ndarray | None}, "mixing-demo")
+    P = _check_stochastic(opts["transition"])
+    n, delta, rate_r = opts["n"], opts["delta"], opts["rate_r"]
     if n < 1:
         raise ValueError(f"mixing-demo: field 'n' must be >= 1, got {n}")
-    delta = _read_field(doc, "delta", float, "mixing-demo")
-    rate_r = _read_field(doc, "rate_r", float, "mixing-demo")
-    opts = _read_fields(doc, {"trials": int | None, "h_values": np.ndarray | None,
-                              "thresholds": np.ndarray | None}, "mixing-demo")
-    _refuse_unknown(doc, ("transition", "n", "delta", "rate_r", "trials", "h_values",
-                          "thresholds"), "mixing-demo")
     trials = opts.get("trials", 500)
     if trials < 1:
         raise ValueError(f"mixing-demo: field 'trials' must be >= 1, got {trials}")
@@ -466,13 +441,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError:  # json.dumps refuses NaN and infinities
-        # the readers refuse what they read; an overflowing number in a field
-        # that nothing reads reaches the output only through inputs_echo
-        bad = _non_finite_path(doc)
-        if bad is not None:
-            print(f"error: --params: field {bad!r} must be finite and within the float range",
-                  file=sys.stderr)
-            return 2
         print("computation error: the output is not finite", file=sys.stderr)
         return 1
     return 0

@@ -406,30 +406,22 @@ def _read_field(doc: dict, name: str, kind, where: str):
     raise TypeError(f"{where}: field {name!r} has no reader for {kind!r}")
 
 
-def _read_fields(doc: dict, kinds: dict, where: str) -> dict:
+def _read_document(doc: dict, kinds: dict, where: str) -> dict:
     """The fields of ``doc`` named in ``kinds``, each read as its kind by
     ``_read_field``; those that read as None are left out, so defaults apply.
-    One ValueError, led by ``where``, first names every missing required field."""
+    Each ValueError is led by ``where``: first one naming the missing required
+    fields (a lone one as ``_read_field`` does), then a field's own, then one
+    naming every key of ``doc`` not in ``kinds``."""
     missing = [name for name, kind in kinds.items()
                if doc.get(name) is None and type(None) not in get_args(kind)]
     if missing:
-        raise ValueError(f"{where}: missing required fields: {', '.join(missing)}")
-    kwargs = {name: _read_field(doc, name, kind, where) for name, kind in kinds.items()}
-    return {name: v for name, v in kwargs.items() if v is not None}
-
-
-def _refuse_unknown(doc: dict, known, where: str) -> None:
-    """One ValueError, led by ``where``, naming every key of ``doc`` not in ``known``."""
-    unknown = [str(key) for key in doc if key not in known]
+        listed = f"field {missing[0]!r}" if len(missing) == 1 else f"fields: {', '.join(missing)}"
+        raise ValueError(f"{where}: missing required {listed}")
+    values = {name: _read_field(doc, name, kind, where) for name, kind in kinds.items()}
+    unknown = [str(key) for key in doc if key not in kinds]
     if unknown:
         raise ValueError(f"{where}: unknown fields: {', '.join(unknown)}")
-
-
-def _read_document(doc: dict, kinds: dict, where: str) -> dict:
-    """``_read_fields`` of ``doc``, then ``_refuse_unknown`` of its other keys."""
-    values = _read_fields(doc, kinds, where)
-    _refuse_unknown(doc, kinds, where)
-    return values
+    return {name: v for name, v in values.items() if v is not None}
 
 
 @functools.cache

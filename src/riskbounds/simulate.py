@@ -27,9 +27,8 @@ from .hypothesis import (
     _array_field,
     _distribution,
     _from_doc,
+    _read_document,
     _read_field,
-    _read_fields,
-    _refuse_unknown,
     _to_doc,
     evaluate_class,
     truncate,
@@ -682,50 +681,39 @@ def coverage_experiment(config: dict) -> CoverageReport:
     - rademacher_ci: 'values' (m x s finite-class atom table),
       optional 'nonnegative_family';
     - bounded_class_ci: 'class' (TruncatedLinear or its JSON document),
-      'c' and 'lam' (or 'use_optimized_constants': true);
+      'c' and 'lam', or else 'use_optimized_constants': true;
     - mixing_rademacher_ci: 'values' and 'rate_r';
     - nn_generalization_ci: 'class' (NeuralNet), reported-only semantics.
 
     Per-trial randomness derives from (base_seed, trial index); the report
-    is bit-identical across runs with the same config.  Every field is read
-    once, by ``_read_field``; 'base_seed' defaults to 0.  A key that is
-    neither a common field nor one of the chosen bound's is refused, after
-    every field is read.
+    is bit-identical across runs with the same config.  The tag 'bound' is
+    read first, then the whole config in one ``_read_document`` call against
+    the common fields and the chosen bound's, which refuses any other key;
+    'base_seed' defaults to 0.
     """
     bound = _read_field(config, "bound", str, "coverage")
-    model = _read_field(config, "model", DataModel, "coverage")
-    n = _read_field(config, "n", int, "coverage")
+    if bound not in _EXPERIMENTS:
+        raise ValueError(f"coverage: unknown bound formula {bound!r}")
+    experiment, kinds = _EXPERIMENTS[bound]
+    fields = _read_document(config, {"bound": str, "model": DataModel, "n": int, "trials": int,
+                                     "delta": float, "base_seed": int | None, **kinds}, "coverage")
+    model, n, trials, delta = fields["model"], fields["n"], fields["trials"], fields["delta"]
     if n < 1:
         raise ValueError(f"coverage: field 'n' must be >= 1, got {n}")
-    trials = _read_field(config, "trials", int, "coverage")
     if trials < 100:
         raise ValueError(f"coverage: field 'trials' must be >= 100, got {trials}")
-    delta = _read_field(config, "delta", float, "coverage")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"coverage: field 'delta' must lie in (0, 1), got {delta}")
-    base_seed = _read_field(config, "base_seed", int | None, "coverage") or 0
+    base_seed = fields.get("base_seed", 0)
     if base_seed < 0:
         raise ValueError(f"coverage: field 'base_seed' must be >= 0, got {base_seed}")
-    # each experiment returns the bound, statistic, details and work floats of
-    # _run_trials; beside it, the fields it reads
-    experiments = {
-        "rademacher_ci": (_experiment_rademacher_ci, ("values", "nonnegative_family")),
-        "bounded_class_ci": (_experiment_bounded_class_ci,
-                             ("class", "use_optimized_constants", "c", "lam")),
-        "mixing_rademacher_ci": (_experiment_mixing_ci, ("values", "rate_r")),
-        "nn_generalization_ci": (_experiment_nn_ci, ("class", "truth_params", "inf_risk")),
-    }
-    if bound not in experiments:
-        raise ValueError(f"coverage: unknown bound formula {bound!r}")
-    experiment, own = experiments[bound]
-    setup = experiment(config, model, n, delta)
-    _refuse_unknown(config, {"bound", "model", "n", "trials", "delta", "base_seed", *own},
-                    "coverage")
+    setup = experiment(fields, model, n, delta)
     return _run_trials(bound, model, n, delta, trials, base_seed, *setup)
 
 
-def _class_values_from_config(config) -> np.ndarray:
-    vals = np.atleast_2d(_read_field(config, "values", np.ndarray, "coverage"))
+def _value_table(values: np.ndarray) -> np.ndarray:
+    """The field 'values' as a table, one row per function."""
+    vals = np.atleast_2d(values)
     if vals.ndim != 2:
         raise ValueError("coverage: field 'values' must be a table, one row per function, "
                          f"got an array of shape {vals.shape}")
@@ -792,7 +780,7 @@ def _excess_statistic(vals: np.ndarray, pop: np.ndarray):
     return lambda _x, _y, states, ts: pop[_erm_rows(vals, states)] - best
 
 
-def _experiment_rademacher_ci(config, model, n, delta):
+def _experiment_rademacher_ci(fields, model, n, delta):
     """Empirical-minimizer excess expected loss vs the Rademacher interval.
 
     The class is a finite table of functions on the model's atoms; the
@@ -801,7 +789,7 @@ def _experiment_rademacher_ci(config, model, n, delta):
     """
     if model.covariates.kind not in ("discrete",):
         raise ValueError("rademacher_ci experiment needs discrete covariates")
-    vals = _class_values_from_config(config)
+    vals = _value_table(fields["values"])
     if vals.shape[1] != model.covariates.n_states:
         raise ValueError(f"coverage: field 'values' must have one column per support atom "
                          f"({model.covariates.n_states}), got {vals.shape[1]}")
@@ -817,7 +805,7 @@ def _experiment_rademacher_ci(config, model, n, delta):
         envelope_l2_sup=env_l2_sup,
         rad=rad_ave,
         delta=delta,
-        **_read_fields(config, {"nonnegative_family": bool | None}, "coverage"),
+        nonnegative_family=fields.get("nonnegative_family", False),
     )
     ci = br.rademacher_ci(inputs)
 
@@ -828,7 +816,7 @@ def _experiment_rademacher_ci(config, model, n, delta):
     }, 1  # per sample point: the kernel's bin index
 
 
-def _experiment_bounded_class_ci(config, model, n, delta):
+def _experiment_bounded_class_ci(fields, model, n, delta):
     """Realized risk of exact grid ERM vs the bounded-class interval.
 
     The hypothesis class is the finite grid itself, so ERM, the inf-class
@@ -837,17 +825,23 @@ def _experiment_bounded_class_ci(config, model, n, delta):
     """
     if model.covariates.kind != "discrete":
         raise ValueError("bounded_class_ci experiment needs discrete covariates")
-    cls = _read_field(config, "class", HypothesisClass, "coverage")
+    cls = fields["class"]
     if not isinstance(cls, TruncatedLinear):
         raise ValueError("bounded_class_ci experiment needs a TruncatedLinear class")
     if cls.span_dim > 3:
         raise ValueError("inf-class risk is exact only for span dimension <= 3 grids")
 
-    if _read_field(config, "use_optimized_constants", bool | None, "coverage"):
+    missing = [name for name in ("c", "lam") if name not in fields]
+    if fields.get("use_optimized_constants"):
+        if len(missing) < 2:
+            raise ValueError("coverage: fields 'c' and 'lam' cannot be set beside "
+                             "'use_optimized_constants': true")
         consts = bv.optimize_v()
         c, lam = consts.c0, consts.lambda0
+    elif missing:
+        raise ValueError(f"coverage: missing required field {missing[0]!r}")
     else:
-        c, lam = (_read_field(config, name, float, "coverage") for name in ("c", "lam"))
+        c, lam = fields["c"], fields["lam"]
     params = bv.BoundParams(n=n, B=cls.B, delta=delta, c=c, lam=lam)
 
     atoms = model.covariates.support
@@ -875,7 +869,7 @@ def _experiment_bounded_class_ci(config, model, n, delta):
 _BLOCK_ENUM_MAX = 10
 
 
-def _experiment_mixing_ci(config, model, n, delta):
+def _experiment_mixing_ci(fields, model, n, delta):
     """Excess expected loss on a mixing chain vs the blocked interval.
 
     Block inputs: the envelope is exact; the per-block complexity is exact
@@ -884,12 +878,12 @@ def _experiment_mixing_ci(config, model, n, delta):
     """
     if model.kind != "markov_chain":
         raise ValueError("mixing experiment needs a markov_chain model")
-    vals = _class_values_from_config(config)
+    vals = _value_table(fields["values"])
     P = model.covariates.transition
     if vals.shape[1] != P.shape[0]:
         raise ValueError(f"coverage: field 'values' must have one column per chain state "
                          f"({P.shape[0]}), got {vals.shape[1]}")
-    rate_r = _read_field(config, "rate_r", float, "coverage")
+    rate_r = fields["rate_r"]
     if rate_r <= 1.0:
         raise ValueError(f"coverage: field 'rate_r' must be > 1, got {rate_r}")
     pi = stationary_distribution(P)
@@ -927,7 +921,7 @@ def _experiment_mixing_ci(config, model, n, delta):
     }, 1  # per sample point: the kernel's bin index
 
 
-def _experiment_nn_ci(config, model, n, delta):
+def _experiment_nn_ci(fields, model, n, delta):
     """Reported-only: heuristic network ERM vs the width-only interval.
 
     The fitted network is a projected-gradient iterate, not a certified
@@ -935,13 +929,13 @@ def _experiment_nn_ci(config, model, n, delta):
     report carries the mean empirical-loss residual against the generating
     parameters for that purpose (null when no 'truth_params' are given).
     """
-    cls = _read_field(config, "class", HypothesisClass, "coverage")
+    cls = fields["class"]
     if not isinstance(cls, NeuralNet):
         raise ValueError("nn experiment needs a NeuralNet class")
-    truth = _read_field(config, "truth_params", np.ndarray | None, "coverage")
+    truth = fields.get("truth_params")
 
     width = br.nn_generalization_ci(n=n, d=cls.dim, B=cls.B, delta=delta)
-    inf_risk = _read_field(config, "inf_risk", float | None, "coverage") or 0.0
+    inf_risk = fields.get("inf_risk", 0.0)
     bound = inf_risk + width
 
     def loss(theta, x, y):
@@ -980,3 +974,18 @@ def _experiment_nn_ci(config, model, n, delta):
     k_max = min(n, model.covariates.n_states or n)  # n_states is 0 for uniform covariates
     return bound, risk_and_residual, details, 1 + math.ceil(
         (2 * (cls.units + cls.dim) + 6) * k_max / n)
+
+
+# each bound's experiment, returning the bound, statistic, details and work floats
+# of _run_trials, and the kinds of its own fields (a dict: 'class' is a keyword)
+_EXPERIMENTS = {
+    "rademacher_ci": (_experiment_rademacher_ci,
+                      {"values": np.ndarray, "nonnegative_family": bool | None}),
+    "bounded_class_ci": (_experiment_bounded_class_ci,
+                         {"class": HypothesisClass, "use_optimized_constants": bool | None,
+                          "c": float | None, "lam": float | None}),
+    "mixing_rademacher_ci": (_experiment_mixing_ci, {"values": np.ndarray, "rate_r": float}),
+    "nn_generalization_ci": (_experiment_nn_ci,
+                             {"class": HypothesisClass, "truth_params": np.ndarray | None,
+                              "inf_risk": float | None}),
+}

@@ -179,6 +179,17 @@ class TestUnknownKeysOfEveryDocument:
         assert code == 2
         assert err == f"error: {where}: unknown fields: {key}\n"
 
+    def test_constants_beside_optimized_constants_are_refused(self, tmp_path, capsys):
+        doc = dict(load("coverage_c7b"), c=3.0, lam=5.0)
+        code, err = run_doc(tmp_path, capsys, "coverage", doc)
+        assert code == 2
+        assert err == ("error: coverage: fields 'c' and 'lam' cannot be set beside "
+                       "'use_optimized_constants': true\n")
+        code, err = run_doc(tmp_path, capsys, "coverage", dict(doc, use_optimized_constants=False))
+        assert (code, err) == (0, "")
+        report = json.loads((tmp_path / "out.json").read_text())["outputs"]
+        assert (report["details"]["c"], report["details"]["lam"]) == (3.0, 5.0)
+
     def test_finite_class_kind_is_refused(self, tmp_path, capsys):
         doc = load("coverage_c7b")
         doc["class"] = {"kind": "finite", "values": [[0.5, -0.5]], "B": 1.0}
@@ -186,3 +197,50 @@ class TestUnknownKeysOfEveryDocument:
         assert code == 2
         assert err == ("error: class: field 'kind' must be one of truncated_linear, neural_net, "
                        "got 'finite'\n")
+
+
+# every other checked-in request document, by the command that reads it
+OTHER_DOCS = {
+    "rademacher_small": "rademacher",
+    "cover_exact": "cover",
+    "cover_greedy": "cover",
+    "entropy_nn_classify": "entropy",
+    "entropy_vc_classify": "entropy",
+    "mixing_demo": "mixing-demo",
+    "coverage_c7a_iid": "coverage",
+    "coverage_c7a_drift": "coverage",
+    "coverage_c7b": "coverage",
+    "coverage_c7c": "coverage",
+}
+
+
+class TestOtherCommandSweep:
+    """Each top-level field of each non-`bound` request, changed one at a time
+    as in the `bound` slice, then one unknown key: never exit 1."""
+
+    @pytest.mark.parametrize("name", sorted(OTHER_DOCS))
+    def test_one_bad_field_exits_zero_or_two_naming_the_document(self, tmp_path, capsys, name):
+        command, doc = OTHER_DOCS[name], load(name)
+        leads = tuple(f"error: {where}" for where in (command, "class", "model"))
+        faults = []
+        for field in doc:
+            for value in MUTATIONS:
+                mutated = dict(doc, **{field: value})
+                if value is DELETE:
+                    del mutated[field]
+                code, err = run_doc(tmp_path, capsys, command, mutated)
+                if code not in (0, 2) or (code == 2 and not err.startswith(leads)):
+                    faults.append((field, value, code, err.strip()))
+        assert faults == []
+
+    @pytest.mark.parametrize("name", sorted(OTHER_DOCS))
+    def test_unknown_key_is_refused_by_name(self, tmp_path, capsys, name):
+        command = OTHER_DOCS[name]
+        code, err = run_doc(tmp_path, capsys, command, dict(load(name), unknwn=1))
+        assert code == 2
+        assert err == f"error: {command}: unknown fields: unknwn\n"
+
+    def test_optimize_constants_refuses_every_key(self, tmp_path, capsys):
+        code, err = run_doc(tmp_path, capsys, "optimize-constants", {"c": 3.0})
+        assert code == 2
+        assert err == "error: optimize-constants: unknown fields: c\n"

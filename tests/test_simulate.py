@@ -874,7 +874,7 @@ class TestModelDocuments:
     def test_every_missing_field_is_named(self):
         with pytest.raises(ValueError, match="^model: missing required fields: kind, B$"):
             model_from_json({"covariates": {"kind": "uniform"}, "extra": 1})
-        with pytest.raises(ValueError, match=r"^model\.covariates: missing required fields: kind$"):
+        with pytest.raises(ValueError, match=r"^model\.covariates: missing required field 'kind'$"):
             model_from_json({"kind": "iid", "B": 1.0, "covariates": {"low": 0.0}})
 
     def test_every_unknown_key_is_named(self):

@@ -96,8 +96,9 @@ class TestAgainstParentLoops:
         config = _document("coverage_c7b", seed)
         model, draws = _document_draws(config)
         n, ts = config["n"], range(config["trials"])
-        _, statistic, _, _ = sim._experiment_bounded_class_ci(config, model, n, config["delta"])
         cls = class_from_json(config["class"])
+        fields = {**config, "class": cls}  # as coverage_experiment reads them
+        _, statistic, _, _ = sim._experiment_bounded_class_ci(fields, model, n, config["delta"])
         table = evaluate_class(cls, SequentialSample(points=model.covariates.support))
         risks = sim.risk_of_rows(table.values, model, n)
         want = _ref_realized_risk(table.values, risks, cls.B)(*draws, ts)
@@ -199,6 +200,8 @@ class TestMemoryBudget:
         # undeclared (T, n) temporary would add 800 KB
         T, n = 50, 2000
         config = dict(_document(name), use_optimized_constants=False, c=2.0, lam=2.0)
+        if "class" in config:  # the experiment takes its fields as read
+            config["class"] = class_from_json(config["class"])
         model = sim.model_from_json(config["model"])
         experiment = {"coverage_c7b": sim._experiment_bounded_class_ci,
                       "coverage_c7c": sim._experiment_mixing_ci}[name]
