@@ -14,8 +14,6 @@ function in the family is nonnegative (the epsilon/2 refinement).
 import math
 from dataclasses import dataclass
 
-from .mixing import _block_count
-
 __all__ = [
     "RademacherCIInputs",
     "deviation_tail",
@@ -185,6 +183,13 @@ def nn_generalization_ci(
     return (B * B / math.sqrt(n)) * (
         1.0 + math.sqrt(2.0) * (c * math.sqrt(math.log(2.0 / delta)) + log_term)
     )
+
+
+def _block_count(n: int, delta: float, rate_r: float) -> int:
+    """Block count m = ceil(log_r(2n/delta)) of the blocked Rademacher
+    interval and the blocked VC deviation term; each caller checks that it
+    is admissible."""
+    return math.ceil(math.log(2.0 * n / delta) / math.log(rate_r))
 
 
 def mixing_rademacher_ci(

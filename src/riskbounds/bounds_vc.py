@@ -29,10 +29,8 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .covering import EntropyEstimate
-from .mixing import _block_count
+from .bounds_rademacher import _block_count
 
 __all__ = [
     "BoundParams",
@@ -80,7 +78,7 @@ class BoundParams:
             raise ValueError(f"lambda must exceed 1, got {self.lam}")
 
 
-def _q_values(lam: float | np.ndarray) -> tuple:
+def _q_values(lam: "float | np.ndarray") -> tuple:
     """q0..q3 at lambda; elementwise when lam is an array."""
     q0 = lam * lam / (8.0 * (lam - 1.0))
     q1 = (1.0 - 1.0 / lam) / 9.0
@@ -172,11 +170,13 @@ def V_function(c: float, lam: float) -> float:
     """Rate prefactor 32 max(q0 c(c+1), (q1 p + q2 p^2 + q3 p^3) log(2(c+1)(2c+3)))."""
     if c <= 1 or lam <= 1:
         raise ValueError("c and lambda must exceed 1")
+    import numpy as np
     return float(_v_grid(np.array([c], dtype=float), np.array([lam], dtype=float))[0, 0])
 
 
-def _v_grid(cs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _v_grid(cs: "np.ndarray", lams: "np.ndarray") -> "np.ndarray":
     """Vectorized V over a (c, lambda) grid; rows index c, columns lambda."""
+    import numpy as np
     c = cs[:, None]
     q0, q1, q2, q3 = _q_values(lams[None, :])
     p = c / (c - 1.0)
@@ -195,15 +195,16 @@ _PRUNE_SLACK = 1e-9
 class _GridFactors(NamedTuple):
     """The factors of V on a grid, per row and per column, as `_v_grid` computes them."""
 
-    cs: np.ndarray
-    p3: np.ndarray  # p**3 per row
-    log_a: np.ndarray  # log(2(c+1)(2c+3)) per row
+    cs: "np.ndarray"
+    p3: "np.ndarray"  # p**3 per row
+    log_a: "np.ndarray"  # log(2(c+1)(2c+3)) per row
     q: tuple  # q0..q3 per column
     j_q0: int  # column of the grid minimum of q0 (lambda = 2)
     j_q3: int  # column of the grid minimum of q3
 
 
-def _grid_factors(cs: np.ndarray, lams: np.ndarray) -> _GridFactors:
+def _grid_factors(cs: "np.ndarray", lams: "np.ndarray") -> _GridFactors:
+    import numpy as np
     q = _q_values(lams)
     return _GridFactors(
         cs=cs,
@@ -234,7 +235,7 @@ def _box_lower_bound(f: _GridFactors, i0: int, i1: int, j0: int, j1: int) -> flo
     return float(32.0 * max(q0_min * c * (c + 1.0), poly * f.log_a[i0]))
 
 
-def _coarse_argmin(cs: np.ndarray, lams: np.ndarray) -> tuple:
+def _coarse_argmin(cs: "np.ndarray", lams: "np.ndarray") -> tuple:
     """(i, j, points evaluated) for the minimum of `_v_grid(cs, lams)`.
 
     Best-first branch-and-bound over index boxes: split a box's longer
@@ -244,6 +245,7 @@ def _coarse_argmin(cs: np.ndarray, lams: np.ndarray) -> tuple:
     Among equal minima the lowest flat index wins, as with `np.argmin` on
     the full grid.
     """
+    import numpy as np
     f = _grid_factors(cs, lams)
     n_lam = lams.shape[0]
     best_v, best_flat, evaluated = math.inf, -1, 0
@@ -294,6 +296,7 @@ def optimize_v() -> OptimizedConstants:
     (11.46, 11.47), lambda0 in (1.29, 1.3), V0 in (3291, 3292)); failing
     them raises.
     """
+    import numpy as np
     step = 0.005
     cs = np.arange(1.5, 50.0 + step / 2, step)
     lams = np.arange(1.05, 3.0 + step / 2, step)

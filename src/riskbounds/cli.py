@@ -10,6 +10,13 @@ in-process request pays only for its own parsing and computation; a fresh
 process builds it once, as before.  Commands still dispatch through
 ``_COMMANDS`` when each request runs.
 
+At module scope this imports the standard library, the formula modules and
+the document readers that ``bound`` runs, and the ``rademacher`` command's
+functions (``rademacher_exact`` is also read as this module's attribute);
+none of them imports numpy at module scope.  Every other command imports
+numpy and its own modules (hypothesis, mixing, simulate) in its body, so a
+``bound`` launch loads neither numpy nor them.
+
 Exit codes: 0 success; 2 a ValueError from a field reader or a domain check
 (invalid or missing parameters, non-finite numbers included; the message
 names the offending field) or an OSError; 1 any other exception while
@@ -28,25 +35,13 @@ from pathlib import Path
 from types import MappingProxyType, ModuleType
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from . import bounds_rademacher as br
 from . import bounds_vc as bv
 from . import covering
-from .covering import EntropyEstimate, classify_entropy, exact_cover_size, greedy_cover
-from .hypothesis import FunctionTable, _kinds, _read_document, _read_field
-from .mixing import (
-    _check_stochastic,
-    block_indices,
-    blocked_deviation_bound,
-    choose_block_size,
-    markov_beta_of_lag,
-    sample_chain,
-    stationary_distribution,
-)
+from ._documents import _kinds, _read_document, _read_field
+from .covering import EntropyEstimate
 from .rademacher import EXACT_MAX_N, massart_bound, rademacher_exact, rademacher_mc
-from .simulate import _trial_chunks, coverage_experiment
 
 __all__ = ["main"]
 
@@ -55,8 +50,10 @@ __all__ = ["main"]
 # parameter document helpers
 
 
-def _load_table(values: np.ndarray | None, csv: str | None, where: str) -> FunctionTable:
+def _load_table(values: "np.ndarray | None", csv: str | None, where: str) -> "FunctionTable":
     """Value table from inline 'values' or a 'csv' path (rows=functions)."""
+    import numpy as np
+    from .hypothesis import FunctionTable
     if values is not None:
         return FunctionTable(values)
     if csv is not None:
@@ -185,6 +182,7 @@ def _cmd_optimize_constants(doc, seed):
 
 @_domain_errors("rademacher")
 def _cmd_rademacher(doc, seed):
+    import numpy as np
     fields = _read_document(doc, {"values": np.ndarray | None, "csv": str | None,
                                   "mode": str | None, "draws": int | None}, "rademacher")
     table = _load_table(fields.get("values"), fields.get("csv"), "rademacher")
@@ -218,6 +216,7 @@ def _cmd_rademacher(doc, seed):
 
 @_domain_errors("cover")
 def _cmd_cover(doc, seed):
+    import numpy as np
     fields = _read_document(doc, {"values": np.ndarray | None, "csv": str | None,
                                   "radius": float, "method": str | None}, "cover")
     table = _load_table(fields.get("values"), fields.get("csv"), "cover")
@@ -226,9 +225,9 @@ def _cmd_cover(doc, seed):
         raise ValueError(f"cover: field 'radius' must be >= 0, got {radius}")
     method = fields.get("method", "greedy")
     if method == "greedy":
-        result = greedy_cover(table, radius)
+        result = covering.greedy_cover(table, radius)
     elif method == "exact":
-        result = exact_cover_size(table, radius)
+        result = covering.exact_cover_size(table, radius)
     else:
         raise ValueError(f"cover: field 'method' must be greedy or exact, got {method!r}")
     return {
@@ -242,8 +241,11 @@ def _cmd_cover(doc, seed):
 
 @_domain_errors("entropy")
 def _cmd_entropy(doc, seed):
+    import numpy as np
     estimate, fields = _read_entropy(
         doc, {"radii": np.ndarray | None, "r": float | None, "classify": bool | None}, "entropy")
+    if "radii" in fields and "r" in fields:
+        raise ValueError("entropy: field 'r' cannot be set beside 'radii'")
     name = "radii" if "radii" in fields else "r"
     if name not in fields:
         raise ValueError("entropy: missing required field 'r'")
@@ -255,7 +257,7 @@ def _cmd_entropy(doc, seed):
     values = [{"r": r, "entropy": estimate(r)} for r in radii]
     outputs = {"kind": estimate.kind, "validity": list(estimate.validity), "values": values}
     if fields.get("classify"):
-        tag = classify_entropy(estimate)
+        tag = covering.classify_entropy(estimate)
         outputs["tag"] = {"kind": tag.kind, "alpha": tag.alpha}
     rows = [("r,entropy", [f"{v['r']},{v['entropy']}" for v in values])]
     return outputs, rows
@@ -264,6 +266,11 @@ def _cmd_entropy(doc, seed):
 @_domain_errors("mixing-demo")
 def _cmd_mixing_demo(doc, seed):
     """Blocked tail bound vs empirical frequencies on a simulated chain."""
+    import numpy as np
+    from .mixing import (_check_stochastic, block_indices, blocked_deviation_bound,
+                         choose_block_size, markov_beta_of_lag, sample_chain,
+                         stationary_distribution)
+    from .simulate import _trial_chunks
     opts = _read_document(doc, {"transition": np.ndarray, "n": int, "delta": float, "rate_r": float,
                                 "trials": int | None, "h_values": np.ndarray | None,
                                 "thresholds": np.ndarray | None}, "mixing-demo")
@@ -332,6 +339,7 @@ def _cmd_mixing_demo(doc, seed):
 
 
 def _cmd_coverage(doc, seed):
+    from .simulate import coverage_experiment
     report = coverage_experiment(doc if seed is None else {**doc, "base_seed": seed})
     outputs = report.to_json()
     per_trial = outputs["details"].get("per_trial")

@@ -4,16 +4,12 @@ Covering numbers here use the averaged L1 distance (1/n) sum_k |a_k - b_k|
 between table rows, with the table's own rows as the candidate center set.
 That restriction is a conservative surrogate: the resulting counts upper
 bound the unrestricted covering number, which is what the downstream bounds
-consume.
+consume. The cover kernels and the classifier import numpy themselves.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
-
-from .hypothesis import FunctionTable
 
 __all__ = [
     "CoveringResult",
@@ -38,12 +34,13 @@ class CoveringResult:
     cover_indices: tuple | None = None
 
 
-def _distances_from(values: np.ndarray, j: int) -> np.ndarray:
+def _distances_from(values: "np.ndarray", j: int) -> "np.ndarray":
     """Averaged L1 distance from row j to every row, in O(m n) memory."""
+    import numpy as np
     return np.mean(abs(values - values[j]), axis=1)  # abs() reuses the difference array
 
 
-def greedy_cover(table: FunctionTable, r: float) -> CoveringResult:
+def greedy_cover(table: "FunctionTable", r: float) -> CoveringResult:
     """Farthest-point greedy cover of the table rows at radius r.
 
     Starts from row 0 and repeatedly adds the row farthest (averaged L1)
@@ -53,6 +50,7 @@ def greedy_cover(table: FunctionTable, r: float) -> CoveringResult:
     index, as with an all-pairs distance matrix.  The size upper-bounds the
     exact minimum.
     """
+    import numpy as np
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     centers = [0]
@@ -66,12 +64,13 @@ def greedy_cover(table: FunctionTable, r: float) -> CoveringResult:
     )
 
 
-def exact_cover_size(table: FunctionTable, r: float) -> CoveringResult:
+def exact_cover_size(table: "FunctionTable", r: float) -> CoveringResult:
     """Minimal number of table rows covering all rows within radius r.
 
     Exact set-cover over row subsets via bitmask dynamic programming;
     refuses tables with more than 16 rows.
     """
+    import numpy as np
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     m = table.m
@@ -185,9 +184,6 @@ class EntropyEstimate:
         return float(self.evaluator(r))
 
 
-_DYADIC_J = np.arange(4, 21)
-
-
 def classify_entropy(estimate: EntropyEstimate) -> EntropyTag:
     """Tag an entropy estimate as subeuclidean or euclidean(alpha).
 
@@ -198,10 +194,11 @@ def classify_entropy(estimate: EntropyEstimate) -> EntropyTag:
     relative residual in the original scale wins.  Degenerate data returns
     'untagged'.
     """
+    import numpy as np
     lo, hi = estimate.validity
     js, Ls = [], []
-    for j in _DYADIC_J:
-        r = 2.0 ** (-int(j))
+    for j in range(4, 21):
+        r = 2.0 ** (-j)
         if lo < r <= hi:
             js.append(float(j))
             Ls.append(estimate(r))

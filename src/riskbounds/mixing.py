@@ -138,13 +138,6 @@ def choose_block_size(n: int, delta: float, rate_r: float) -> int:
     return max(m, 1)
 
 
-def _block_count(n: int, delta: float, rate_r: float) -> int:
-    """Block count m = ceil(log_r(2n/delta)) of the blocked Rademacher
-    interval and the blocked VC deviation term; each caller checks that it
-    is admissible."""
-    return math.ceil(math.log(2.0 * n / delta) / math.log(rate_r))
-
-
 @dataclass(frozen=True)
 class BlockedTail:
     """Raw additive bound and its [0,1]-clipped probability reading."""

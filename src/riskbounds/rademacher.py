@@ -4,14 +4,11 @@ finite-class bounds.
 The complexity of a value table is E[max_j U . row_j] over uniform random
 sign vectors U in {-1,+1}^n.  It is kept UNNORMALIZED (no 1/n factor); every
 confidence-interval formula downstream consumes it in that convention.
+The kernels import numpy themselves.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .hypothesis import FunctionTable
 
 __all__ = [
     "RademacherEstimate",
@@ -54,6 +51,7 @@ class RademacherEstimate:
 def _option_sums(options, probs, coords, start: int, stop: int) -> tuple:
     """Sums over ``coords`` of the options that combinations start..stop-1
     pick (mixed radix, first coordinate fastest), and their probabilities."""
+    import numpy as np
     idx = np.arange(start, stop)
     sums = np.zeros((stop - start, options[0].shape[1]))
     weights = np.ones(stop - start)
@@ -64,7 +62,7 @@ def _option_sums(options, probs, coords, start: int, stop: int) -> tuple:
     return sums, weights
 
 
-def _expected_max(options: np.ndarray, probs: np.ndarray) -> float:
+def _expected_max(options: "np.ndarray", probs: "np.ndarray") -> float:
     """E max_j sum_k U_k options[k, A_k, j] over independent uniform signs U_k
     and atoms A_k with P(A_k = a) = probs[k, a]; options is (n, a, m).
 
@@ -74,6 +72,7 @@ def _expected_max(options: np.ndarray, probs: np.ndarray) -> float:
     ``_WORK_BYTES``; the others are generated in blocks of index ranges and
     broadcast-added, each block with its max and min within half of it.
     """
+    import numpy as np
     n, a, m = options.shape
     opts = [np.concatenate([o, -o]) for o in options[:-1]] + [options[-1]]
     ws = [np.concatenate([q, q]) / 2.0 for q in probs[:-1]] + [probs[-1] / 2.0]
@@ -93,7 +92,7 @@ def _expected_max(options: np.ndarray, probs: np.ndarray) -> float:
     return total
 
 
-def rademacher_exact(table: FunctionTable, max_n: int = EXACT_MAX_N) -> RademacherEstimate:
+def rademacher_exact(table: "FunctionTable", max_n: int = EXACT_MAX_N) -> RademacherEstimate:
     """Exact complexity by enumerating all 2^n sign vectors.
 
     Meet-in-the-middle kernel ``_expected_max``: 2^(n-1) * m additions, in
@@ -112,6 +111,7 @@ def rademacher_exact(table: FunctionTable, max_n: int = EXACT_MAX_N) -> Rademach
     -------
     RademacherEstimate with mode='exact', draws=2^n, std_error=0.
     """
+    import numpy as np
     n = table.n
     if n > min(max_n, EXACT_MAX_N):
         raise ValueError(
@@ -122,7 +122,7 @@ def rademacher_exact(table: FunctionTable, max_n: int = EXACT_MAX_N) -> Rademach
     return RademacherEstimate(value=value, std_error=0.0, draws=1 << n, mode="exact")
 
 
-def rademacher_mc(table: FunctionTable, draws: int, seed: int) -> RademacherEstimate:
+def rademacher_mc(table: "FunctionTable", draws: int, seed: int) -> RademacherEstimate:
     """Monte-Carlo complexity estimate from seeded uniform sign draws.
 
     Deterministic given the seed.  std_error is the sample standard
@@ -132,6 +132,7 @@ def rademacher_mc(table: FunctionTable, draws: int, seed: int) -> RademacherEsti
     2^22 entries at a time (one row when n is larger), a 32 MiB chunk held
     beside the 16 MiB product budget.
     """
+    import numpy as np
     if draws < 100:
         raise ValueError(f"draws must be >= 100, got {draws}")
     rng = np.random.default_rng(seed)
@@ -155,11 +156,12 @@ def rademacher_mc(table: FunctionTable, draws: int, seed: int) -> RademacherEsti
     )
 
 
-def massart_bound(table: FunctionTable) -> float:
+def massart_bound(table: "FunctionTable") -> float:
     """Finite-class bound (max row l2 norm) * sqrt(2 log m).
 
     Always dominates the exact complexity; equals 0 for a single row.
     """
+    import numpy as np
     norms = np.sqrt(np.sum(table.values**2, axis=1))
     return float(np.max(norms) * math.sqrt(2.0 * math.log(table.m)))
 

@@ -17,6 +17,8 @@ import numpy as np
 
 from . import bounds_rademacher as br
 from . import bounds_vc as bv
+from .bounds_rademacher import _block_count
+from ._documents import _from_doc, _read_document, _read_field
 from .covering import EntropyEstimate
 from .hypothesis import (
     FunctionTable,
@@ -26,17 +28,13 @@ from .hypothesis import (
     TruncatedLinear,
     _array_field,
     _distribution,
-    _from_doc,
-    _read_document,
-    _read_field,
     _to_doc,
     evaluate_class,
     truncate,
     vc_dimension_bound,
 )
 from .mixing import (
-    _block_count, _check_stochastic, block_indices, markov_beta_of_lag, sample_chain,
-    stationary_distribution,
+    _check_stochastic, block_indices, markov_beta_of_lag, sample_chain, stationary_distribution,
 )
 from .rademacher import _expected_max, massart_bound
 

@@ -1,8 +1,10 @@
 import argparse
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 from typing import get_args
 
@@ -517,6 +519,45 @@ class TestParserReuse:
         reused = [outcome(capsys, argv), outcome(capsys, BOUND_REQUEST)]
         assert reused == fresh
         assert fresh[1][0] == 0
+
+
+# runs each argv of sys.argv[1] through cli.main after importing the package,
+# and prints whether numpy was loaded, with each (exit code, stdout, stderr)
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import riskbounds
+from riskbounds import cli
+outcomes = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    outcomes.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"numpy": "numpy" in sys.modules, "outcomes": outcomes}))
+"""
+
+
+class TestBoundLoadsNoNumpy:
+    def test_bound_requests_run_without_numpy_and_match_in_process(self, capsys, monkeypatch):
+        argvs = [["bound", "--params", str(path)]
+                 for path in sorted(REQUESTS.glob("bound_*.json"))] + [["--help"], ["--version"]]
+        assert len(argvs) == 18
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT, json.dumps(argvs)],
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["numpy"] is False
+        assert "numpy" in sys.modules
+        in_process = [list(outcome(capsys, argv)) for argv in argvs]
+        assert report["outcomes"] == in_process
+        assert [code for code, _, _ in in_process] == [0] * 18
 
 
 class TestRademacherCommand:

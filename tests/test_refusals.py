@@ -13,7 +13,7 @@ import pytest
 import riskbounds.cli as cli
 from riskbounds import bounds_rademacher as br
 from riskbounds import bounds_vc as bv
-from riskbounds.hypothesis import _kinds
+from riskbounds._documents import _kinds
 
 REQUESTS = Path(__file__).resolve().parents[1] / "bench" / "requests"
 BOUND_DOCS = sorted(p.stem for p in REQUESTS.glob("bound_*.json"))
@@ -142,16 +142,23 @@ class TestOtherCommandRefusals:
 
     @pytest.mark.parametrize("command, name, field, value, message", [
         ("mixing-demo", "mixing_demo", "delta", 0,
-         "delta must lie in (n r^-n, 1) = (2.04e-08, 1), got 0.0"),
-        ("mixing-demo", "mixing_demo", "rate_r", 0, "rate_r must exceed 1, got 0.0"),
-        ("entropy", "entropy_nn_classify", "d", 0, "d and N must be >= 1"),
-        ("entropy", "entropy_vc_classify", "V", -1, "V must be nonnegative, got -1"),
+         "mixing-demo: delta must lie in (n r^-n, 1) = (2.04e-08, 1), got 0.0"),
+        ("mixing-demo", "mixing_demo", "rate_r", 0, "mixing-demo: rate_r must exceed 1, got 0.0"),
+        ("entropy", "entropy_nn_classify", "d", 0, "entropy: d and N must be >= 1"),
+        ("entropy", "entropy_vc_classify", "V", -1, "entropy: V must be nonnegative, got -1"),
+        ("entropy", "entropy_vc_classify", "r", 0.01,
+         "entropy: field 'r' cannot be set beside 'radii'"),
+        # only a null, absent or {} mean or noise reads as its default
+        *[("coverage", "coverage_c7a_iid", "model",
+           {**load("coverage_c7a_iid")["model"], key: value},
+           f"coverage.model.{key}: expected a JSON object, got {value!r}")
+          for key in ("mean", "noise") for value in (0, False, "", [])],
     ])
     def test_library_domain_error_names_the_command(self, tmp_path, capsys, command, name,
                                                     field, value, message):
         code, err = run_doc(tmp_path, capsys, command, dict(load(name), **{field: value}))
         assert code == 2
-        assert err == f"error: {command}: {message}\n"
+        assert err == f"error: {message}\n"
 
 
 def _with_key(name: str, path: tuple, key: str, value) -> dict:

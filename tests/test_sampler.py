@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+import riskbounds.mixing
 import riskbounds.simulate as sim
 from riskbounds import cli
 from riskbounds.mixing import choose_block_size, sample_chain, stationary_distribution
@@ -246,7 +247,7 @@ class TestMixingDemoMatchesPerTrialLoop:
             drawn.append(sample_chain(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(cli, "sample_chain", spy)
+        monkeypatch.setattr(riskbounds.mixing, "sample_chain", spy)  # the command imports it
         paths, devs, m = _ref_mixing_demo(doc, 0 if seed is None else seed)
         thresholds = [0.25 * k for k in range(40)] + _tie_thresholds(devs, m)
         path = tmp_path / "params.json"
