@@ -34,8 +34,6 @@ from .bounds_rademacher import _block_count
 
 __all__ = [
     "BoundParams",
-    "ConstantProfile",
-    "constant_profile",
     "epsilon_n",
     "epsilon_n_upper",
     "b_coeff",
@@ -85,31 +83,6 @@ def _q_values(lam: "float | np.ndarray") -> tuple:
     q2 = (2.0 / 3.0) * (2.0 * lam - 1.0)
     q3 = (2.0 * lam - 1.0) ** 2 * lam / (lam - 1.0)
     return q0, q1, q2, q3
-
-
-@dataclass(frozen=True)
-class ConstantProfile:
-    """The derived constants at one (c, lambda) pair."""
-
-    c: float
-    lam: float
-    p: float
-    q0: float
-    q1: float
-    q2: float
-    q3: float
-    V: float
-    is_argmin: bool = False
-
-
-def constant_profile(c: float, lam: float, is_argmin: bool = False) -> ConstantProfile:
-    if c <= 1 or lam <= 1:
-        raise ValueError("c and lambda must exceed 1")
-    q0, q1, q2, q3 = _q_values(lam)
-    return ConstantProfile(
-        c=c, lam=lam, p=c / (c - 1.0), q0=q0, q1=q1, q2=q2, q3=q3,
-        V=V_function(c, lam), is_argmin=is_argmin,
-    )
 
 
 def epsilon_n(params: BoundParams) -> float:

@@ -152,23 +152,15 @@ def blocked_deviation_bound(
     n: int,
     m: int,
     beta_m: float,
-    equal_blocks: bool = False,
 ) -> BlockedTail:
     """Bound P(blocked deviation > m t) by sum_k tail(t, |J_k|) + n beta_m.
 
     ``per_block_tail(t, size)`` bounds the tail at per-block threshold t
-    for an independent subsample of the given size.  ``equal_blocks=True``
-    uses m blocks of size floor(n/m), dropping remainder points (the
-    divisibility-free simplification); the default keeps the natural block
-    sizes, which is tighter.
+    for an independent subsample of the given size, over the natural block
+    sizes of ``block_indices(n, m)``.
     """
     if not (0.0 <= beta_m <= 1.0):
         raise ValueError(f"beta_m must lie in [0,1], got {beta_m}")
-    if equal_blocks:
-        sizes = [n // m] * m
-        if n // m < 1:
-            raise ValueError(f"equal blocks need n >= m, got n={n}, m={m}")
-    else:
-        sizes = [len(b) for b in block_indices(n, m)]
+    sizes = [len(b) for b in block_indices(n, m)]
     raw = float(sum(per_block_tail(t, s) for s in sizes) + n * beta_m)
     return BlockedTail(raw=raw, probability=min(max(raw, 0.0), 1.0))

@@ -48,23 +48,19 @@ class RademacherEstimate:
             raise ValueError("exact mode must report std_error 0")
 
 
-def _option_sums(options, probs, coords, start: int, stop: int) -> tuple:
-    """Sums over ``coords`` of the options that combinations start..stop-1
-    pick (mixed radix, first coordinate fastest), and their probabilities."""
+def _sign_sums(signed: "np.ndarray", coords, start: int, stop: int) -> "np.ndarray":
+    """Sums over ``coords`` of signed[k, b] (+-values[:, k]) for the sign
+    vectors start..stop-1, bit i of the index giving coords[i] its sign b."""
     import numpy as np
     idx = np.arange(start, stop)
-    sums = np.zeros((stop - start, options[0].shape[1]))
-    weights = np.ones(stop - start)
-    for k in coords:
-        idx, pick = np.divmod(idx, len(options[k]))
-        sums += options[k][pick]
-        weights *= probs[k][pick]
-    return sums, weights
+    sums = np.zeros((stop - start, signed.shape[2]))
+    for i, k in enumerate(coords):
+        sums += signed[k][idx >> i & 1]
+    return sums
 
 
-def _expected_max(options: "np.ndarray", probs: "np.ndarray") -> float:
-    """E max_j sum_k U_k options[k, A_k, j] over independent uniform signs U_k
-    and atoms A_k with P(A_k = a) = probs[k, a]; options is (n, a, m).
+def _expected_max(values: "np.ndarray") -> float:
+    """E max_j sum_k U_k values[j, k] over uniform random signs U_k; values is (m, n).
 
     Meet in the middle: the last sign is fixed to +, each enumerated vector
     also standing for its negation (minus its minimum).  The last coordinates
@@ -73,26 +69,26 @@ def _expected_max(options: "np.ndarray", probs: "np.ndarray") -> float:
     broadcast-added, each block with its max and min within half of it.
     """
     import numpy as np
-    n, a, m = options.shape
-    opts = [np.concatenate([o, -o]) for o in options[:-1]] + [options[-1]]
-    ws = [np.concatenate([q, q]) / 2.0 for q in probs[:-1]] + [probs[-1] / 2.0]
-    c, split, n_lo = 2 * a, n - 1, a
+    m, n = values.shape
+    signed = np.stack([values.T, -values.T], axis=1)  # (n, 2, m)
+    split, n_lo = n - 1, 1
     # the low half grows to at most the square root of all combinations
-    while split > 0 and (n_lo * c) ** 2 <= a * c ** (n - 1) and 32 * m * n_lo * c <= _WORK_BYTES:
-        split, n_lo = split - 1, n_lo * c
-    lo, lo_w = _option_sums(opts, ws, range(split, n), 0, n_lo)
-    lo = np.ascontiguousarray(lo.T)
-    n_hi, rows = c**split, max(1, _WORK_BYTES // 2 // (8 * (m + 2) * n_lo))
+    while split > 0 and (n_lo * 2) ** 2 <= 2 ** (n - 1) and 64 * m * n_lo <= _WORK_BYTES:
+        split, n_lo = split - 1, n_lo * 2
+    lo = np.ascontiguousarray(_sign_sums(signed, range(split, n), 0, n_lo).T)
+    lo_w = np.full(n_lo, 0.5 ** (n - split))  # each combination's probability
+    n_hi, rows = 2**split, max(1, _WORK_BYTES // 2 // (8 * (m + 2) * n_lo))
     buf = np.empty((min(rows, n_hi), m, n_lo))
     total = 0.0
     for start in range(0, n_hi, rows):
-        hi, hi_w = _option_sums(opts, ws, range(split), start, min(start + rows, n_hi))
+        hi = _sign_sums(signed, range(split), start, min(start + rows, n_hi))
         block = np.add(lo, hi[:, :, None], out=buf[: len(hi)])
+        hi_w = np.full(len(hi), 0.5**split)
         total += float(hi_w @ ((block.max(axis=1) - block.min(axis=1)) @ lo_w))
     return total
 
 
-def rademacher_exact(table: "FunctionTable", max_n: int = EXACT_MAX_N) -> RademacherEstimate:
+def rademacher_exact(table: "FunctionTable") -> RademacherEstimate:
     """Exact complexity by enumerating all 2^n sign vectors.
 
     Meet-in-the-middle kernel ``_expected_max``: 2^(n-1) * m additions, in
@@ -103,22 +99,19 @@ def rademacher_exact(table: "FunctionTable", max_n: int = EXACT_MAX_N) -> Radema
     Parameters
     ----------
     table : FunctionTable
-        m x n value table.
-    max_n : int
-        Refusal threshold; tables with n above it must use rademacher_mc.
+        m x n value table; tables with n above ``EXACT_MAX_N`` must use
+        rademacher_mc.
 
     Returns
     -------
     RademacherEstimate with mode='exact', draws=2^n, std_error=0.
     """
-    import numpy as np
     n = table.n
-    if n > min(max_n, EXACT_MAX_N):
+    if n > EXACT_MAX_N:
         raise ValueError(
-            f"n={n} too large for exact enumeration (limit {min(max_n, EXACT_MAX_N)}); "
-            "use rademacher_mc"
+            f"n={n} too large for exact enumeration (limit {EXACT_MAX_N}); use rademacher_mc"
         )
-    value = _expected_max(table.values.T[:, None, :], np.ones((n, 1)))
+    value = _expected_max(table.values)
     return RademacherEstimate(value=value, std_error=0.0, draws=1 << n, mode="exact")
 
 

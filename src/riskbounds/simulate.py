@@ -36,7 +36,7 @@ from .hypothesis import (
 from .mixing import (
     _check_stochastic, block_indices, markov_beta_of_lag, sample_chain, stationary_distribution,
 )
-from .rademacher import _expected_max, massart_bound
+from .rademacher import _WORK_BYTES, massart_bound
 
 __all__ = [
     "NoiseSpec",
@@ -49,13 +49,12 @@ __all__ = [
     "erm_fit",
     "excess_risk_exact",
     "exact_average_complexity",
-    "enumerate_product_states",
     "CoverageReport",
     "coverage_experiment",
 ]
 
 GAUSS_NODES = 64
-_ENUM_LIMIT = 1 << 21  # cap on (2s)^n partial-state count for exact averages
+_COUNT_LAW_MAX = 1 << 19  # cap on the count-law DP's candidates over all its steps
 
 
 # ---------------------------------------------------------------------------
@@ -543,33 +542,41 @@ def risk_of_rows(rows_at_atoms: np.ndarray, model: DataModel, n: int) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# exact enumerations over small discrete product laws
+# exact count laws of small discrete product laws
 
 
-def enumerate_product_states(pmf: np.ndarray) -> tuple:
-    """All state combinations of a product law with per-index pmfs.
+def _count_law_fits(n: int, cells: int) -> bool:
+    """Whether ``_count_law`` serves n draws over c cells: its keys fit int64 and c C(n + c, c),
+    which bounds each step's candidates, its work and its memory, is ``_COUNT_LAW_MAX`` or less."""
+    return (cells < 64 and (n + 1) ** cells < 1 << 63  # the guard skips huge powers
+            and cells * math.comb(n + cells, cells) <= _COUNT_LAW_MAX)
 
-    pmf is (n, s); returns (states (s^n, n), probs (s^n,)).  Intended for
-    desk-scale oracles (s^n small).
-    """
-    pmf = np.atleast_2d(np.asarray(pmf, dtype=float))
-    n, s = pmf.shape
-    if s**n > _ENUM_LIMIT:
-        raise ValueError(f"s^n = {s**n} too large to enumerate")
-    grids = np.meshgrid(*[np.arange(s)] * n, indexing="ij")
-    states = np.stack([g.ravel() for g in grids], axis=1)
-    probs = np.prod(pmf[np.arange(n)[None, :], states], axis=1)
-    return states, probs
+
+def _count_law(cell_probs: np.ndarray) -> tuple:
+    """Law of the cell counts of n independent draws, draw k landing in cell a with
+    probability cell_probs[k, a]: count vectors (S, c) and probabilities (S,).  A DP
+    over the draws on keys sum_a count_a (n + 1)^a, merged by np.unique and np.bincount."""
+    n, c = cell_probs.shape
+    radix = (n + 1) ** np.arange(c, dtype=np.int64)
+    keys, probs = np.zeros(1, dtype=np.int64), np.ones(1)
+    for q in cell_probs:
+        live = np.flatnonzero(q)
+        keys, inverse = np.unique(keys[:, None] + radix[live], return_inverse=True)
+        probs = np.bincount(inverse.ravel(), weights=(probs[:, None] * q[live]).ravel())
+    counts = keys[:, None] // radix
+    counts %= n + 1
+    return counts, probs
 
 
 def exact_average_complexity(values_at_atoms: np.ndarray, pmf: np.ndarray) -> float:
     """Exact averaged Rademacher complexity E_Z E_U max_j U . h_j(Z).
 
     ``values_at_atoms`` is (m, s): function j's value on atom i; ``pmf`` is
-    (n, s): the independent per-index atom distribution.  Enumerates the
-    (2s)^n (sign, atom) combinations in the budgeted meet-in-the-middle
-    kernel of ``rademacher_exact`` (agreeing with a direct enumeration to
-    about 1e-15 relative); refuses when (2s)^n exceeds the enumeration cap.
+    (n, s): the independent per-index atom distribution.  The sums depend only
+    on the counts in the 2s (atom, sign) cells: this is probs @ max(counts @
+    [vals^T; -vals^T]) over ``_count_law``, in ``_WORK_BYTES`` row blocks beside
+    the law's own 8 MiB at most.  It refuses what ``_count_law_fits`` does not
+    serve, and agrees with a sum over the (2s)^n sequences to about 1e-15.
     """
     vals = np.atleast_2d(np.asarray(values_at_atoms, dtype=float))
     pmf = np.atleast_2d(np.asarray(pmf, dtype=float))
@@ -577,12 +584,15 @@ def exact_average_complexity(values_at_atoms: np.ndarray, pmf: np.ndarray) -> fl
     n = pmf.shape[0]
     if pmf.shape[1] != s:
         raise ValueError("pmf columns must match the atom count")
-    if (2 * s) ** n > _ENUM_LIMIT:
+    if not _count_law_fits(n, 2 * s):
         raise ValueError(
-            f"(2s)^n = {(2 * s) ** n} exceeds the enumeration cap; "
+            f"n={n} draws over {2 * s} (atom, sign) cells exceed the count-law cap; "
             "use rademacher_mc on sampled tables instead"
         )
-    return _expected_max(np.broadcast_to(vals.T, (n, s, m)), pmf)
+    counts, probs = _count_law(np.hstack([pmf, pmf]) / 2.0)
+    signed, rows = np.vstack([vals.T, -vals.T]), max(1, _WORK_BYTES // (8 * (2 * s + m)))
+    return float(sum(probs[i : i + rows] @ np.max(counts[i : i + rows] @ signed, axis=1)
+                     for i in range(0, len(probs), rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -864,14 +874,11 @@ def _experiment_bounded_class_ci(fields, model, n, delta):
     }, 2  # per sample point: the truncated response and the kernel's bin index
 
 
-_BLOCK_ENUM_MAX = 10
-
-
 def _experiment_mixing_ci(fields, model, n, delta):
     """Excess expected loss on a mixing chain vs the blocked interval.
 
     Block inputs: the envelope is exact; the per-block complexity is exact
-    (enumeration over the stationary product law) for block sizes up to 10
+    where ``_count_law_fits`` serves the block (up to 39 points for 2 states)
     and the finite-class max bound above, which only widens the interval.
     """
     if model.kind != "markov_chain":
@@ -899,7 +906,7 @@ def _experiment_mixing_ci(fields, model, n, delta):
     env_max = math.sqrt(max(sizes) * float(np.max(env_atom[pi > 0] ** 2)))
     rads = []
     for L in sizes:
-        if (2 * vals.shape[1]) ** L <= _ENUM_LIMIT and L <= _BLOCK_ENUM_MAX:
+        if _count_law_fits(L, 2 * vals.shape[1]):
             rads.append(exact_average_complexity(vals, np.tile(pi, (L, 1))))
         else:
             worst = np.tile(np.max(np.abs(vals), axis=1)[:, None], (1, L))

@@ -20,7 +20,6 @@ from riskbounds.bounds_rademacher import (
 from riskbounds.bounds_vc import (
     BoundParams,
     b_coeff,
-    constant_profile,
     epsilon_n,
     epsilon_n_upper,
     optimize_v,
@@ -46,10 +45,11 @@ from riskbounds.mixing import markov_beta_of_lag
 from riskbounds.rademacher import massart_bound, rademacher_exact
 from riskbounds.simulate import (
     coverage_experiment,
-    enumerate_product_states,
     exact_average_complexity,
     model_from_json,
 )
+
+from oracles import constant_profile, enumerate_product_states
 
 
 @contextmanager

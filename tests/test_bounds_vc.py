@@ -19,7 +19,6 @@ from riskbounds.bounds_vc import (
     _v_grid,
     b_coeff,
     bounded_class_ci,
-    constant_profile,
     epsilon_n,
     epsilon_n_upper,
     log_a_from_entropy,
@@ -32,6 +31,8 @@ from riskbounds.bounds_vc import (
     vc_mixing_second_term,
 )
 from riskbounds.covering import EntropyEstimate, vc_entropy
+
+from oracles import constant_profile
 
 P_2_2 = BoundParams(n=100, B=1.0, delta=0.05, c=2.0, lam=2.0)
 

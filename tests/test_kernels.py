@@ -1,12 +1,16 @@
 """Differential and memory tests of the complexity and cover kernels.
 
 The meet-in-the-middle enumeration (``rademacher._expected_max``), the
+count-law averaged complexity (``simulate.exact_average_complexity``), the
 block-wise Monte-Carlo suprema and the farthest-point greedy cover are
 checked against the implementations they replaced, kept here as private
 references: the chunked sign-matrix loop, the outer-sum enumeration of the
-averaged complexity and the all-pairs distance-matrix greedy cover.  Cover
-indices and distances must be identical; complexities sum in another order
-and must agree to 1e-12 relative (1e-15 absolute near 0).
+averaged complexity, the meet-in-the-middle kernel with an atom axis and
+probability weights, and the all-pairs distance-matrix greedy cover.  Cover
+indices and distances must be identical, and so must ``rademacher_exact``
+against the weighted kernel, whose reductions it keeps.  Other complexities
+sum in another order and must agree to 1e-12 relative (1e-15 absolute near
+0); the count law against the weighted kernel to 1e-13.
 """
 
 import math
@@ -17,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbounds import covering, rademacher
+from riskbounds import covering, rademacher, simulate
 from riskbounds.covering import exact_cover_size, greedy_cover
 from riskbounds.hypothesis import FunctionTable
 from riskbounds.rademacher import rademacher_exact, rademacher_mc
@@ -56,6 +60,45 @@ def _ref_average_complexity(vals, pmf):
         sums = (sums[:, None, :] + contrib[None, :, :]).reshape(-1, m)
         probs = (probs[:, None] * pk[None, :]).ravel()
     return float(probs @ np.max(sums, axis=1))
+
+
+def _ref_option_sums(options, probs, coords, start, stop):
+    idx = np.arange(start, stop)
+    sums = np.zeros((stop - start, options[0].shape[1]))
+    weights = np.ones(stop - start)
+    for k in coords:
+        idx, pick = np.divmod(idx, len(options[k]))
+        sums += options[k][pick]
+        weights *= probs[k][pick]
+    return sums, weights
+
+
+def _ref_expected_max(options, probs):
+    # E max_j sum_k U_k options[k, A_k, j] over uniform signs U_k and atoms A_k
+    # with P(A_k = a) = probs[k, a]: the kernel before its atom axis and
+    # probability weights were dropped
+    n, a, m = options.shape
+    work = rademacher._WORK_BYTES
+    opts = [np.concatenate([o, -o]) for o in options[:-1]] + [options[-1]]
+    ws = [np.concatenate([q, q]) / 2.0 for q in probs[:-1]] + [probs[-1] / 2.0]
+    c, split, n_lo = 2 * a, n - 1, a
+    while split > 0 and (n_lo * c) ** 2 <= a * c ** (n - 1) and 32 * m * n_lo * c <= work:
+        split, n_lo = split - 1, n_lo * c
+    lo, lo_w = _ref_option_sums(opts, ws, range(split, n), 0, n_lo)
+    lo = np.ascontiguousarray(lo.T)
+    n_hi, rows = c**split, max(1, work // 2 // (8 * (m + 2) * n_lo))
+    buf = np.empty((min(rows, n_hi), m, n_lo))
+    total = 0.0
+    for start in range(0, n_hi, rows):
+        hi, hi_w = _ref_option_sums(opts, ws, range(split), start, min(start + rows, n_hi))
+        block = np.add(lo, hi[:, :, None], out=buf[: len(hi)])
+        total += float(hi_w @ ((block.max(axis=1) - block.min(axis=1)) @ lo_w))
+    return total
+
+
+def _ref_average_weighted(vals, pmf):
+    m, s = vals.shape
+    return _ref_expected_max(np.broadcast_to(vals.T, (pmf.shape[0], s, m)), pmf)
 
 
 def _ref_rademacher_mc(values, draws, seed):
@@ -180,10 +223,57 @@ class TestEnumerationKernel:
         got = exact_average_complexity(vals, pmf)
         assert got == pytest.approx(_ref_average_complexity(vals, pmf), rel=REL, abs=ABS)
 
+    @given(tables(max_m=12, max_n=14))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_bit_identical_to_weighted_kernel(self, vals):
+        ones = np.ones((vals.shape[1], 1))
+        assert rademacher_exact(FunctionTable(vals)).value == _ref_expected_max(
+            vals.T[:, None, :], ones)
+
+    @pytest.mark.parametrize("m,n,work", [(8, 20, None), (64, 18, None), (200, 16, None),
+                                          (2000, 12, None), (6, 12, 64), (50, 9, 8 * 50 * 37)])
+    def test_exact_bit_identical_at_benchmark_shapes(self, monkeypatch, m, n, work):
+        if work is not None:
+            monkeypatch.setattr(rademacher, "_WORK_BYTES", work)
+        vals = np.random.default_rng(m + n).normal(size=(m, n))
+        assert rademacher_exact(FunctionTable(vals)).value == _ref_expected_max(
+            vals.T[:, None, :], np.ones((n, 1)))
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.integers(0, 10**6),
+        st.sampled_from(["iid", "drift", "per_index", "sparse", "point"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_average_matches_weighted_kernel(self, m, s, n, seed, law):
+        if (2 * s) ** n > 1 << 14:
+            n = 3
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(m, s))
+        first, last = rng.dirichlet(np.ones(s), size=2)
+        if law == "iid":
+            pmf = np.tile(first, (n, 1))
+        elif law == "drift":  # the linear drift of CovariateSpec.probs_end
+            w = np.linspace(0.0, 1.0, n)[:, None]
+            pmf = (1.0 - w) * first + w * last
+        elif law == "per_index":
+            pmf = rng.dirichlet(np.ones(s), size=n)
+        elif law == "sparse":
+            pmf = rng.dirichlet(np.ones(s), size=n)
+            pmf[:, 0] = 0.0
+            pmf[:, -1] += 1.0 - pmf.sum(axis=1)
+        else:
+            pmf = np.eye(s)[rng.integers(0, s, size=n)]
+        got = exact_average_complexity(vals, pmf)
+        assert got == pytest.approx(_ref_average_weighted(vals, pmf), rel=1e-13, abs=ABS)
+
     def test_tiny_budget_matches_one_block(self, monkeypatch):
         # the default budget runs each of these in one block; 64 bytes splits
-        # every enumeration into one high combination per block and the
-        # Monte-Carlo product into single rows
+        # every enumeration into one high combination per block, the averaged
+        # complexity into single count vectors and the Monte-Carlo product
+        # into single rows
         rng = np.random.default_rng(5)
         table = FunctionTable(rng.normal(size=(6, 12)))
         vals, pmf = rng.normal(size=(4, 3)), rng.dirichlet(np.ones(3), size=5)
@@ -194,6 +284,7 @@ class TestEnumerationKernel:
             rademacher_mc(mc_table, draws=5000, seed=2),
         )
         monkeypatch.setattr(rademacher, "_WORK_BYTES", 64)
+        monkeypatch.setattr(simulate, "_WORK_BYTES", 64)
         blocks = (
             rademacher_exact(table).value,
             exact_average_complexity(vals, pmf),
@@ -248,6 +339,18 @@ class TestMemoryBudget:
         vals = np.random.default_rng(4).uniform(-1.0, 1.0, size=(400, 200))
         covering._distances_from(vals, 3)
         assert _peak_bytes(lambda: covering._distances_from(vals, 3)) <= vals.nbytes + 128 * 1024
+
+    @pytest.mark.parametrize("s,n", [(1, 722), (2, 39), (5, 8), (12, 4)])
+    def test_average_at_the_count_law_cap(self, s, n):
+        # the most draws that s atoms are served, and the shape of the largest
+        # measured peak (s = 12): the DP and its count matrix stay within 16
+        # bytes per candidate of the cap, beside one evaluation block
+        assert simulate._count_law_fits(n, 2 * s)
+        assert not simulate._count_law_fits(n + 1, 2 * s)
+        rng = np.random.default_rng(s)
+        vals, pmf = rng.normal(size=(200, s)), rng.dirichlet(np.ones(s), size=n)
+        peak = _peak_bytes(lambda: exact_average_complexity(vals, pmf))
+        assert peak <= simulate._WORK_BYTES + 16 * simulate._COUNT_LAW_MAX, peak
 
     def test_exact_tall_table(self):
         table = FunctionTable(np.random.default_rng(2).normal(size=(2000, 16)))

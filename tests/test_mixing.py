@@ -209,17 +209,6 @@ class TestBlockedBound:
         bound = blocked_deviation_bound(lambda t, s: 1.0, 0.0, 10, 5, 0.5)
         assert bound.raw > 1.0 and bound.probability == 1.0
 
-    def test_equal_blocks_drop_remainder(self):
-        seen = []
-        blocked_deviation_bound(
-            lambda t, s: seen.append(s) or 0.0, 1.0, 7, 3, 0.0, equal_blocks=True
-        )
-        assert seen == [2, 2, 2]
-
-    def test_equal_blocks_need_enough_points(self):
-        with pytest.raises(ValueError, match="equal blocks"):
-            blocked_deviation_bound(lambda t, s: 0.0, 1.0, 3, 5, 0.0, equal_blocks=True)
-
     def test_beta_validation(self):
         with pytest.raises(ValueError, match="beta_m"):
             blocked_deviation_bound(lambda t, s: 0.0, 1.0, 10, 2, -0.1)

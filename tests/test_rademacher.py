@@ -69,11 +69,6 @@ class TestExact:
         with pytest.raises(ValueError, match="rademacher_mc"):
             rademacher_exact(t)
 
-    def test_custom_limit(self):
-        t = FunctionTable(values=np.zeros((1, 5)))
-        with pytest.raises(ValueError, match="limit 4"):
-            rademacher_exact(t, max_n=4)
-
     @given(
         st.integers(1, 5),
         st.integers(1, 8),

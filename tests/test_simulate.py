@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from riskbounds.hypothesis import (
     TruncatedLinear,
     _to_doc,
 )
-from riskbounds.rademacher import rademacher_exact
+from riskbounds.mixing import stationary_distribution
+from riskbounds.rademacher import massart_bound, rademacher_exact
 from riskbounds.hypothesis import FunctionTable
 from riskbounds.simulate import (
     CovariateSpec,
@@ -22,7 +24,6 @@ from riskbounds.simulate import (
     MeanSpec,
     NoiseSpec,
     coverage_experiment,
-    enumerate_product_states,
     erm_fit,
     exact_average_complexity,
     excess_risk_exact,
@@ -31,6 +32,7 @@ from riskbounds.simulate import (
     phi_grid,
     risk_of_rows,
 )
+from oracles import enumerate_product_states
 from test_hypothesis import field_types
 
 
@@ -476,10 +478,19 @@ class TestExactEnumeration:
         with pytest.raises(ValueError, match="atom count"):
             exact_average_complexity(np.zeros((2, 3)), np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("n", [22, 39])
+    def test_sign_pair_beyond_sequence_cap(self, n):
+        # 4^n (sign, atom) sequences but n + 1 count vectors per sign cell;
+        # 39 is the last n served at s = 2
+        vals = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        pmf = np.tile([0.5, 0.5], (n, 1))
+        expect = sum(math.comb(n, k) * abs(2 * k - n) for k in range(n + 1)) / 2**n
+        assert exact_average_complexity(vals, pmf) == pytest.approx(expect, rel=1e-13)
+
     def test_enumeration_cap_names_fallback(self):
         with pytest.raises(ValueError, match="rademacher_mc"):
             exact_average_complexity(
-                np.zeros((2, 2)), np.tile([0.5, 0.5], (22, 1))
+                np.zeros((2, 2)), np.tile([0.5, 0.5], (40, 1))
             )
 
 
@@ -624,6 +635,36 @@ class TestCoverageExperiments:
         assert rep.details["m_hat"] >= 1
         assert rep.details["beta_m"] <= 1.25 ** (-rep.details["m_hat"]) + 1e-15
         assert rep.empirical_coverage == 1.0  # interval is very wide here
+
+    def test_mixing_blocks_longer_than_ten_are_exact(self):
+        cfg = {
+            "bound": "mixing_rademacher_ci",
+            "model": {
+                "kind": "markov_chain",
+                "B": 1.0,
+                "covariates": {
+                    "kind": "markov",
+                    "support": [[0.0], [1.0]],
+                    "transition": [[0.6, 0.4], [0.4, 0.6]],
+                },
+                "mean": {"kind": "atom_table", "values": [0.0, 1.0]},
+                "noise": {"kind": "none"},
+            },
+            "values": [[0.0, 1.0], [1.0, 0.0], [0.25, 0.75]],
+            "rate_r": 1.5,
+            "n": 300,
+            "delta": 0.1,
+            "trials": 100,
+            "base_seed": 3,
+        }
+        rep = coverage_experiment(cfg)
+        assert rep.details["block_sizes"] == [13, 14]
+        vals = np.array(cfg["values"])
+        pi = stationary_distribution(np.array(cfg["model"]["covariates"]["transition"]))
+        exact = max(exact_average_complexity(vals, np.tile(pi, (L, 1))) for L in (13, 14))
+        assert rep.details["max_block_rad"] == exact
+        worst = np.tile(np.max(np.abs(vals), axis=1)[:, None], (1, 14))
+        assert exact < massart_bound(FunctionTable(worst))
 
     def test_numpy_numbers_are_read_as_numbers(self):
         requests = Path(__file__).resolve().parents[1] / "bench" / "requests"
