@@ -2,6 +2,7 @@
 numpy is imported only to read a tuple or array field, and the hypothesis
 module only to read a class document."""
 
+import contextlib
 import functools
 import inspect
 import math
@@ -98,13 +99,29 @@ def _kinds(obj) -> MappingProxyType:
     return MappingProxyType(kinds)
 
 
+@contextlib.contextmanager
+def _domain_errors(where: str):
+    """Lead each ValueError raised inside with ``where``, unless it already is:
+    a library's domain check then names the document or command it came from.
+    Also a decorator, for a whole command."""
+    try:
+        yield
+    except ValueError as exc:
+        if str(exc).startswith(where):
+            raise
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _from_doc(cls, doc, where: str):
     """The dataclass ``cls`` from the same-named fields of ``doc``, read by
     ``_read_document``, which refuses every key that is no field. A
     field whose metadata holds an ``"empty"`` document reads that document
-    when null, absent or ``{}``; any other value is read as the field's kind."""
+    when null, absent or ``{}``; any other value is read as the field's kind.
+    A ValueError of the class's own checks is led by ``where``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {doc!r}")
     doc = {**doc, **{f.name: f.metadata["empty"] for f in fields(cls)
                      if "empty" in f.metadata and doc.get(f.name) in (None, {})}}
-    return cls(**_read_document(doc, _kinds(cls), where))
+    values = _read_document(doc, _kinds(cls), where)
+    with _domain_errors(where):
+        return cls(**values)

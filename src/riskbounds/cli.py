@@ -25,7 +25,6 @@ cannot carry.
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -39,7 +38,7 @@ from . import __version__
 from . import bounds_rademacher as br
 from . import bounds_vc as bv
 from . import covering
-from ._documents import _kinds, _read_document, _read_field
+from ._documents import _domain_errors, _kinds, _read_document, _read_field
 from .covering import EntropyEstimate
 from .rademacher import EXACT_MAX_N, massart_bound, rademacher_exact, rademacher_mc
 
@@ -68,19 +67,6 @@ def _generator_seed(seed: int | None, where: str) -> int:
     if seed < 0:
         raise ValueError(f"{where}: option '--seed' must be >= 0, got {seed}")
     return seed
-
-
-@contextlib.contextmanager
-def _domain_errors(where: str):
-    """Lead each ValueError raised inside with ``where``, unless it already is:
-    a library's domain check then names the document or command it came from.
-    Also a decorator, for a whole command."""
-    try:
-        yield
-    except ValueError as exc:
-        if str(exc).startswith(where):
-            raise
-        raise ValueError(f"{where}: {exc}") from None
 
 
 def _read_entropy(doc: dict, own: dict, where: str) -> tuple:

@@ -150,7 +150,6 @@ class EntropyEstimate:
     kind: str
     evaluator: Callable[[float], float]
     validity: tuple
-    params: dict | None = None
 
     @staticmethod
     def vc(V: int, B: float) -> "EntropyEstimate":
@@ -159,7 +158,6 @@ class EntropyEstimate:
             kind="vc",
             evaluator=lambda r: vc_entropy(V, B, r),
             validity=(0.0, B / 4),
-            params={"V": V, "B": B},
         )
 
     @staticmethod
@@ -170,12 +168,7 @@ class EntropyEstimate:
             kind="neural_net",
             evaluator=lambda r: nn_entropy(d, N, B, r),
             validity=(0.0, B / 2 * (1 - 1e-12)),
-            params={"d": d, "N": N, "B": B},
         )
-
-    @staticmethod
-    def custom(fn: Callable[[float], float], validity: tuple) -> "EntropyEstimate":
-        return EntropyEstimate(kind="custom", evaluator=fn, validity=tuple(validity))
 
     def __call__(self, r: float) -> float:
         lo, hi = self.validity

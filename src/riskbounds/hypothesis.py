@@ -1,14 +1,13 @@
 """Hypothesis classes, truncation, and evaluation on samples.
 
 A hypothesis class is described declaratively (truncated linear span or
-one-layer neural net) and materialized, on its parameter grid, as a
-finite value table: an m x n matrix whose entry (j, k) is the value of
-candidate function j at sample point k.  All downstream complexity and
-covering computations consume these tables.
+one-layer neural net).  A truncated linear class is materialized, on its
+parameter grid, as a finite value table: an m x n matrix whose entry (j, k)
+is the value of candidate function j at sample point k.  All downstream
+complexity and covering computations consume these tables.
 """
 
-import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -47,13 +46,10 @@ def truncate(y, B: float):
 
 
 def logistic(t):
-    """Standard logistic CDF 1/(1+e^-t), the default activation."""
+    """Standard logistic CDF 1/(1+e^-t), the network activation."""
     t = np.asarray(t, dtype=float)
     u = np.exp(-np.abs(t))  # overflow-safe in both tails
     return np.where(t >= 0, 1.0, u) / (1.0 + u)
-
-
-_ACTIVATIONS = {"logistic": logistic}
 
 
 @dataclass(frozen=True)
@@ -62,12 +58,16 @@ class GridSpec:
 
     Either ``axes`` (per-coordinate grids, expanded as a cartesian product)
     or ``points`` (explicit array of parameter vectors, one per row) must be
-    given.  Resolution is a caller-supplied approximation knob: the table is
-    a finite surrogate for the full class.
+    given, not both.  Resolution is a caller-supplied approximation knob: the
+    table is a finite surrogate for the full class.
     """
 
     axes: tuple | None = None
     points: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.axes is not None and self.points is not None:
+            raise ValueError("field 'points' cannot be set beside 'axes'")
 
     def resolve(self) -> np.ndarray:
         if self.points is not None:
@@ -104,7 +104,8 @@ class TruncatedLinear:
     grid : GridSpec | None
         Default discretization of the coefficient vector.
     degree : int | None
-        Monomial degree (required iff basis='monomial', with dim=1).
+        Monomial degree (required iff basis='monomial', with dim=1; refused
+        on the other bases).
     """
 
     basis: str
@@ -122,6 +123,8 @@ class TruncatedLinear:
         if self.basis == "monomial":
             if self.dim != 1 or self.degree is None or self.degree < 0:
                 raise ValueError("monomial basis needs dim=1 and degree >= 0")
+        else:
+            _refuse_unread(self, ("degree",), f"basis {self.basis!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.coef_box is not None and (len(self.coef_box) != 2
@@ -154,25 +157,23 @@ class TruncatedLinear:
 class NeuralNet:
     """One-layer network class: x -> c0 + sum_k c_k sigma(a_k . x + b_k).
 
-    ``mode='independent'`` constrains each |c_k| <= B; ``mode='joint'``
-    constrains the l1 norm |c_0| + .. + |c_N| <= B.  Parameter vectors are
-    laid out as [a (units*dim), b (units), c (units+1)].
+    sigma is the logistic CDF.  ``mode='independent'`` constrains each
+    |c_k| <= B; ``mode='joint'`` constrains the l1 norm |c_0| + .. + |c_N|
+    <= B; the projected-GD fit keeps its iterates inside that set.  Parameter
+    vectors are laid out as [a (units*dim), b (units), c (units+1)].  A
+    network has no grid and no value table.
     """
 
     dim: int
     units: int
     B: float
     mode: str = "joint"
-    activation: str = "logistic"
-    grid: GridSpec | None = None
 
     def __post_init__(self):
         if self.B <= 0:
             raise ValueError(f"B must be positive, got {self.B}")
         if self.mode not in ("independent", "joint"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.units < 1 or self.dim < 1:
             raise ValueError("units and dim must be >= 1")
 
@@ -196,24 +197,8 @@ class NeuralNet:
     def predict(self, theta: np.ndarray, points: np.ndarray) -> np.ndarray:
         a, b, c = self.split_params(theta)
         pts = np.atleast_2d(np.asarray(points, dtype=float)).reshape(-1, self.dim)
-        act = _ACTIVATIONS[self.activation]
-        hidden = act(pts @ a.T + b)  # (n, units)
+        hidden = logistic(pts @ a.T + b)  # (n, units)
         return c[0] + hidden @ c[1:]
-
-    def check_constraints(self, theta: np.ndarray, index: int | None = None):
-        _, _, c = self.split_params(theta)
-        tol = 1e-9
-        where = "" if index is None else f" (grid point {index})"
-        if self.mode == "joint":
-            if np.sum(np.abs(c)) > self.B + tol:
-                raise ValueError(
-                    f"output-weight l1 norm {np.sum(np.abs(c)):.6g} exceeds B={self.B}{where}"
-                )
-        else:
-            if np.max(np.abs(c)) > self.B + tol:
-                raise ValueError(
-                    f"output weight magnitude {np.max(np.abs(c)):.6g} exceeds B={self.B}{where}"
-                )
 
 
 HypothesisClass = TruncatedLinear | NeuralNet
@@ -242,13 +227,10 @@ class SequentialSample:
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """m x n matrix of candidate-function values plus the pointwise envelope.
-
-    envelope[k] = max_j |values[j, k]|, exact for finite tables.
-    """
+    """m x n matrix of candidate-function values: row j is function j, column
+    k sample point k; nonempty and finite."""
 
     values: np.ndarray
-    envelope: np.ndarray = field(default=None)
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -258,12 +240,6 @@ class FunctionTable:
         if not np.all(np.isfinite(vals)):
             raise ValueError("table entries must be finite")
         object.__setattr__(self, "values", vals)
-        env = np.max(np.abs(vals), axis=0)
-        if self.envelope is not None:
-            given = np.asarray(self.envelope, dtype=float).ravel()
-            if given.shape != env.shape or not np.array_equal(given, env):
-                raise ValueError("envelope must equal the column-wise max of |values|")
-        object.__setattr__(self, "envelope", env)
 
     @property
     def m(self) -> int:
@@ -273,51 +249,30 @@ class FunctionTable:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def envelope_l2(self) -> float:
-        """l2 norm of the envelope vector, sqrt(sum_k H_k^2)."""
-        return float(np.sqrt(np.sum(self.envelope**2)))
 
-
-def evaluate_class(cls: HypothesisClass, sample: SequentialSample) -> FunctionTable:
-    """Materialize a hypothesis class as a value table on a sample.
+def evaluate_class(cls: TruncatedLinear, sample: SequentialSample) -> FunctionTable:
+    """Materialize a truncated linear class as a value table on a sample.
 
     Rows are the points of the class's grid (candidate functions), columns
-    are the sample points.  Truncated classes produce entries in [-B, B].
-    Raises if the grid is absent or empty or a grid point violates the class
-    constraints.
+    are the sample points; entries lie in [-B, B].  Raises if the class is
+    no TruncatedLinear, or its grid is absent or empty, or a grid point lies
+    outside the coefficient box.
     """
+    if not isinstance(cls, TruncatedLinear):
+        raise TypeError(f"evaluate_class needs a TruncatedLinear class, got {type(cls).__name__}")
     if cls.grid is None:
         raise ValueError("parametric class needs a grid spec")
     params = cls.grid.resolve()
-
-    if isinstance(cls, TruncatedLinear):
-        if params.shape[1] != cls.span_dim:
-            raise ValueError(
-                f"grid axes or points give vectors of length {params.shape[1]}, "
-                f"span dimension is {cls.span_dim}"
-            )
-        if cls.coef_box is not None:
-            lo, hi = cls.coef_box
-            bad = np.where((params < lo - 1e-12) | (params > hi + 1e-12))[0]
-            if bad.size:
-                raise ValueError(
-                    f"grid point {bad[0]} outside the coefficient box [{lo}, {hi}]"
-                )
-        design = cls.basis_matrix(sample.points)
-        return FunctionTable(truncate(params @ design.T, cls.B))
-
-    if isinstance(cls, NeuralNet):
-        rows = []
-        for i, theta in enumerate(params):
-            cls.check_constraints(theta, index=i)
-            rows.append(cls.predict(theta, sample.points))
-        values = np.vstack(rows)
-        if cls.mode == "joint" and np.max(np.abs(values)) > 2 * cls.B + 1e-9:
-            # joint powering with sigma in [0,1] forces |g| <= 2B
-            raise ValueError("network outputs exceed 2B; activation out of range?")
-        return FunctionTable(values)
-
-    raise TypeError(f"unsupported class type {type(cls).__name__}")
+    if params.shape[1] != cls.span_dim:
+        raise ValueError(f"grid axes or points give vectors of length {params.shape[1]}, "
+                         f"span dimension is {cls.span_dim}")
+    if cls.coef_box is not None:
+        lo, hi = cls.coef_box
+        bad = np.where((params < lo - 1e-12) | (params > hi + 1e-12))[0]
+        if bad.size:
+            raise ValueError(f"grid point {bad[0]} outside the coefficient box [{lo}, {hi}]")
+    design = cls.basis_matrix(sample.points)
+    return FunctionTable(truncate(params @ design.T, cls.B))
 
 
 def vc_dimension_bound(cls: HypothesisClass) -> int | None:
@@ -337,6 +292,16 @@ def _array_field(value, name: str, owner: str) -> np.ndarray:
     if value is None:
         raise ValueError(f"{owner} needs field {name!r}")
     return np.asarray(value, dtype=float).ravel()
+
+
+def _refuse_unread(spec, names, owner: str) -> None:
+    """Refuse the first field in ``names`` of the dataclass ``spec`` that holds
+    other than its default: ``owner``, the spec's kind, does not read it."""
+    defaults = {f.name: f.default for f in fields(spec)}
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and (defaults[name] is None or value != defaults[name]):
+            raise ValueError(f"field {name!r} is not read by {owner}")
 
 
 def _distribution(value, name: str, owner: str, size: int | None = None) -> np.ndarray:
@@ -365,15 +330,13 @@ def _to_doc(obj):
 _CLASS_KINDS = {"truncated_linear": TruncatedLinear, "neural_net": NeuralNet}
 
 
-def class_from_json(doc: str | dict) -> HypothesisClass:
-    """A class from its JSON document (a string or its parsed object): the
-    tag ``kind``, truncated_linear or neural_net, and the class's fields."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"class: not a JSON document: {exc}") from None
-    kind = doc.get("kind") if isinstance(doc, dict) else None
+def class_from_json(doc: dict) -> HypothesisClass:
+    """A class from its parsed JSON object: the tag ``kind``, truncated_linear
+    or neural_net, and the class's fields.  Any other value, a JSON string
+    included, is refused."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"class: expected a JSON object, got {doc!r}")
+    kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _CLASS_KINDS:
         raise ValueError(f"class: field 'kind' must be one of {', '.join(_CLASS_KINDS)}, "
                          f"got {kind!r}")

@@ -28,6 +28,7 @@ from .hypothesis import (
     TruncatedLinear,
     _array_field,
     _distribution,
+    _refuse_unread,
     _to_doc,
     evaluate_class,
     truncate,
@@ -63,7 +64,8 @@ _COUNT_LAW_MAX = 1 << 19  # cap on the count-law DP's candidates over all its st
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive noise: none, finite symmetric-support atoms, or uniform."""
+    """Additive noise: none, finite symmetric-support atoms, or uniform.  A
+    field the kind does not read must hold its default."""
 
     kind: str = "none"
     values: np.ndarray | None = None
@@ -71,8 +73,11 @@ class NoiseSpec:
     half_width: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "discrete", "uniform"):
+        unread = {"none": ("values", "probs", "half_width"), "discrete": ("half_width",),
+                  "uniform": ("values", "probs")}
+        if self.kind not in unread:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        _refuse_unread(self, unread[self.kind], f"noise kind {self.kind!r}")
         if self.kind == "discrete":
             v = _array_field(self.values, "values", "discrete noise")
             p = _distribution(self.probs, "probs", "discrete noise")
@@ -90,7 +95,8 @@ class CovariateSpec:
     an interval uniform, or a finite-state Markov chain.
 
     For ``kind='discrete'`` with ``probs_end`` set, the pmf interpolates
-    linearly from ``probs`` at index 1 to ``probs_end`` at index n.
+    linearly from ``probs`` at index 1 to ``probs_end`` at index n.  A field
+    the kind does not read must hold its default.
     """
 
     kind: str
@@ -102,8 +108,12 @@ class CovariateSpec:
     transition: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("discrete", "uniform", "markov"):
+        unread = {"discrete": ("transition", "low", "high"),
+                  "uniform": ("support", "probs", "probs_end", "transition"),
+                  "markov": ("probs", "probs_end", "low", "high")}
+        if self.kind not in unread:
             raise ValueError(f"unknown covariate kind {self.kind!r}")
+        _refuse_unread(self, unread[self.kind], f"covariate kind {self.kind!r}")
         if self.kind == "uniform":
             if not (self.low < self.high):
                 raise ValueError("uniform covariates need low < high")
@@ -146,15 +156,18 @@ class CovariateSpec:
 
 @dataclass(frozen=True)
 class MeanSpec:
-    """Regression function: affine in the covariate, or a per-atom table."""
+    """Regression function: affine in the covariate (``coeffs``), or a
+    per-atom table (``values``); the other field must be null."""
 
     kind: str = "affine"
     coeffs: np.ndarray | None = None
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("affine", "atom_table"):
+        unread = {"affine": ("values",), "atom_table": ("coeffs",)}
+        if self.kind not in unread:
             raise ValueError(f"unknown mean kind {self.kind!r}")
+        _refuse_unread(self, unread[self.kind], f"mean kind {self.kind!r}")
         if self.kind == "affine":
             c = _array_field(self.coeffs, "coeffs", "affine mean")
             if c.size < 1:
@@ -204,7 +217,6 @@ class DataModel:
     noise: NoiseSpec = field(metadata={"empty": {"kind": "none"}})
     B: float
     drift: tuple | None = None
-    unbounded_response: bool = False
 
     def __post_init__(self):
         if self.kind not in ("iid", "nonstationary_independent", "markov_chain"):
@@ -451,8 +463,6 @@ def _fit_nn(cls: NeuralNet, points: np.ndarray, counts: np.ndarray, sums: np.nda
     bit-equal to that loop, with more it agrees within 1e-12 in theta after
     300 steps.
     """
-    if cls.activation != "logistic":
-        raise ValueError("projected_gd gradients are implemented for logistic only")
     T, k, d = points.shape
     N = cls.units
     a, b, c = np.empty((T, N, d)), np.empty((T, N)), np.zeros((T, N + 1))
@@ -688,7 +698,7 @@ def coverage_experiment(config: dict) -> CoverageReport:
 
     - rademacher_ci: 'values' (m x s finite-class atom table),
       optional 'nonnegative_family';
-    - bounded_class_ci: 'class' (TruncatedLinear or its JSON document),
+    - bounded_class_ci: 'class' (TruncatedLinear or its JSON object),
       'c' and 'lam', or else 'use_optimized_constants': true;
     - mixing_rademacher_ci: 'values' and 'rate_r';
     - nn_generalization_ci: 'class' (NeuralNet), reported-only semantics.

@@ -881,7 +881,7 @@ class TestCoverageCommand:
         ("coverage_c7c", "rate_r", None, "coverage: missing required field 'rate_r'"),
         ("coverage_c7c", "rate_r", "abc", "coverage: field 'rate_r' must be a number"),
         ("coverage_c7b", "class", None, "coverage: missing required field 'class'"),
-        ("coverage_c7b", "class", "abc", "class: not a JSON document"),
+        ("coverage_c7b", "class", "abc", "class: expected a JSON object, got 'abc'"),
         ("coverage_c7b", "c", None, "coverage: missing required field 'c'"),
         ("coverage_c7b", "c", "abc", "coverage: field 'c' must be a number"),
         ("coverage_c7b", "lam", None, "coverage: missing required field 'lam'"),
@@ -1020,7 +1020,6 @@ class TestFieldTypes:
                    "inputs": VALID_INPUTS["nn_generalization_ci"]}, ("inputs", "improved")),
         ("entropy", "entropy_vc_classify", ("classify",)),
         ("coverage", "coverage_c7a_iid", ("nonnegative_family",)),
-        ("coverage", "coverage_c7a_iid", ("model", "unbounded_response")),
         ("coverage", "coverage_c7b", ("use_optimized_constants",)),
     ]
 

@@ -17,6 +17,11 @@ from riskbounds.covering import (
 from riskbounds.hypothesis import FunctionTable
 
 
+def _custom(fn, validity):
+    """An entropy estimate of any evaluator, built from its fields."""
+    return EntropyEstimate(kind="custom", evaluator=fn, validity=tuple(validity))
+
+
 CHAIN = FunctionTable(values=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
 
 
@@ -147,7 +152,7 @@ class TestEntropyEstimate:
             est(0.3)
 
     def test_custom(self):
-        est = EntropyEstimate.custom(lambda r: 1.0 / r, validity=(0.0, 1.0))
+        est = _custom(lambda r: 1.0 / r, validity=(0.0, 1.0))
         assert est(0.5) == 2.0
 
 
@@ -161,19 +166,19 @@ class TestClassification:
         assert tag.kind == "subeuclidean"
 
     def test_power_law_is_euclidean(self):
-        est = EntropyEstimate.custom(lambda r: r**-0.5, validity=(0.0, 1.0))
+        est = _custom(lambda r: r**-0.5, validity=(0.0, 1.0))
         tag = classify_entropy(est)
         assert tag.kind == "euclidean"
         assert tag.alpha == pytest.approx(0.5, abs=1e-6)
 
     def test_steeper_power_law_alpha(self):
-        est = EntropyEstimate.custom(lambda r: 3.0 * r**-1.5, validity=(0.0, 1.0))
+        est = _custom(lambda r: 3.0 * r**-1.5, validity=(0.0, 1.0))
         tag = classify_entropy(est)
         assert tag.kind == "euclidean"
         assert tag.alpha == pytest.approx(1.5, abs=1e-6)
 
     def test_narrow_validity_untagged(self):
-        est = EntropyEstimate.custom(lambda r: 1.0 / r, validity=(1 / 64, 1 / 16))
+        est = _custom(lambda r: 1.0 / r, validity=(1 / 64, 1 / 16))
         assert classify_entropy(est).kind == "untagged"
 
     def test_oscillation_untagged(self):
@@ -181,12 +186,12 @@ class TestClassification:
             j = round(-math.log2(r))
             return 1.0 if j % 2 == 0 else 100.0
 
-        est = EntropyEstimate.custom(fn, validity=(0.0, 1.0))
+        est = _custom(fn, validity=(0.0, 1.0))
         assert classify_entropy(est).kind == "untagged"
 
     def test_superexponential_untagged(self):
         with np.errstate(over="ignore"):
-            est = EntropyEstimate.custom(
+            est = _custom(
                 lambda r: float(np.exp(np.sqrt(1.0 / r))), validity=(0.0, 1.0)
             )
             assert classify_entropy(est).kind == "untagged"

@@ -251,3 +251,97 @@ class TestOtherCommandSweep:
         code, err = run_doc(tmp_path, capsys, "optimize-constants", {"c": 3.0})
         assert code == 2
         assert err == "error: optimize-constants: unknown fields: c\n"
+
+
+# a C9-style network coverage document: the class is the l1-boxed network
+NN_DOC = {
+    "bound": "nn_generalization_ci",
+    "model": {"kind": "iid", "B": 1.5,
+              "covariates": {"kind": "discrete", "support": [[-1.0], [0.0], [1.0]],
+                             "probs": [0.25, 0.5, 0.25]},
+              "mean": {"kind": "affine", "coeffs": [0.1, 0.3]},
+              "noise": {"kind": "uniform", "half_width": 0.2}},
+    "class": {"kind": "neural_net", "dim": 1, "units": 2, "B": 1.5, "mode": "joint"},
+    "n": 12, "delta": 0.1, "trials": 100,
+}
+UNIFORM_COVARIATES = {"kind": "uniform", "low": -1.0, "high": 1.0}
+COV, MEAN, NOISE = ("model", "covariates"), ("model", "mean"), ("model", "noise")
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    """``doc`` with the field at ``path`` set to ``value``."""
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
+
+
+class TestFieldsTheProgramDoesNotRead:
+    """A field that no code reads, or that the chosen kind does not read,
+    exits 2 naming it, where it once left the report unchanged."""
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        # deleted fields and forms
+        ("coverage_c7a_iid", ("model", "unbounded_response"), True,
+         "coverage.model: unknown fields: unbounded_response"),
+        ("nn", ("class", "activation"), "logistic", "class: unknown fields: activation"),
+        ("nn", ("class", "grid"), {"points": [[1, 1, 1, 1, 99, 99, 0.0]]},
+         "class: unknown fields: grid"),
+        ("coverage_c7b", ("class",), "abc", "class: expected a JSON object, got 'abc'"),
+        # fields the chosen kind does not read
+        *[("coverage_c7b", (*COV, key), value,
+           f"coverage.model.covariates: field {key!r} is not read by covariate kind 'discrete'")
+          for key, value in (("transition", [[1.0]]), ("low", -1.0), ("high", 2.0))],
+        *[("coverage_c7c", (*COV, key), value,
+           f"coverage.model.covariates: field {key!r} is not read by covariate kind 'markov'")
+          for key, value in (("probs", [0.5, 0.5]), ("probs_end", [0.9, 0.1]))],
+        *[("nn", COV, {**UNIFORM_COVARIATES, key: value},
+           f"coverage.model.covariates: field {key!r} is not read by covariate kind 'uniform'")
+          for key, value in (("support", [[0.0]]), ("probs", [1.0]), ("probs_end", [1.0]),
+                             ("transition", [[1.0]]))],
+        ("coverage_c7b", (*MEAN, "values"), [0.0] * 5,
+         "coverage.model.mean: field 'values' is not read by mean kind 'affine'"),
+        ("coverage_c7c", (*MEAN, "coeffs"), [0.0],
+         "coverage.model.mean: field 'coeffs' is not read by mean kind 'atom_table'"),
+        *[("coverage_c7c", (*NOISE, key), value,
+           f"coverage.model.noise: field {key!r} is not read by noise kind 'none'")
+          for key, value in (("values", [0.1]), ("probs", [1.0]), ("half_width", 0.5))],
+        ("coverage_c7b", (*NOISE, "half_width"), 0.5,
+         "coverage.model.noise: field 'half_width' is not read by noise kind 'discrete'"),
+        *[("nn", (*NOISE, key), value,
+           f"coverage.model.noise: field {key!r} is not read by noise kind 'uniform'")
+          for key, value in (("values", [0.1]), ("probs", [1.0]))],
+        ("coverage_c7b", ("class", "degree"), 2,
+         "class: field 'degree' is not read by basis 'affine'"),
+        ("coverage_c7b", ("class", "grid", "points"), [[0.0, 0.5]],
+         "class.grid: field 'points' cannot be set beside 'axes'"),
+        # a spec class's own checks name their document path
+        ("coverage_c7b", ("model", "B"), 0, "coverage.model: B must be positive, got 0.0"),
+        ("coverage_c7b", ("class", "B"), 0, "class: B must be positive, got 0.0"),
+        ("coverage_c7b", NOISE, {"kind": "many"},
+         "coverage.model.noise: unknown noise kind 'many'"),
+        ("coverage_c7b", MEAN, {"kind": "affine"},
+         "coverage.model.mean: affine mean needs field 'coeffs'"),
+        ("coverage_c7b", ("class", "dim"), 0, "class: dim must be >= 1"),
+    ])
+    def test_exits_two_naming_the_field(self, tmp_path, capsys, name, path, value, message):
+        doc = json.loads(json.dumps(NN_DOC)) if name == "nn" else load(name)
+        code, err = run_doc(tmp_path, capsys, "coverage", _set(doc, path, value))
+        assert (code, err) == (2, f"error: {message}\n")
+
+    def test_deleted_library_fields_are_gone(self):
+        from dataclasses import fields
+
+        from riskbounds.covering import EntropyEstimate
+        from riskbounds.hypothesis import FunctionTable, NeuralNet
+        from riskbounds.simulate import DataModel
+
+        names = {cls: [f.name for f in fields(cls)]
+                 for cls in (FunctionTable, NeuralNet, EntropyEstimate)}
+        assert names == {FunctionTable: ["values"], NeuralNet: ["dim", "units", "B", "mode"],
+                         EntropyEstimate: ["kind", "evaluator", "validity"]}
+        assert "unbounded_response" not in [f.name for f in fields(DataModel)]
+        for owner, attribute in ((FunctionTable, "envelope_l2"), (EntropyEstimate, "custom"),
+                                 (NeuralNet, "check_constraints")):
+            assert not hasattr(owner, attribute)

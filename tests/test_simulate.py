@@ -594,7 +594,7 @@ class TestCoverageExperiments:
                     "kind": "discrete", "values": [0.2, -0.2], "probs": [0.5, 0.5]
                 },
             },
-            "class": json.dumps({"kind": "truncated_linear", **_to_doc(cls)}),
+            "class": {"kind": "truncated_linear", **_to_doc(cls)},
             "c": 2.0,
             "lam": 2.0,
             "n": 60,
@@ -746,7 +746,6 @@ def _ref_model_to_json(model):
         "kind": model.kind,
         "B": model.B,
         "drift": list(model.drift) if model.drift else None,
-        "unbounded_response": model.unbounded_response,
         "covariates": {
             "kind": cov.kind,
             "support": cov.support.tolist() if cov.support is not None else None,
@@ -802,7 +801,6 @@ def _ref_model_from_json(doc):
         ),
         B=doc["B"],
         drift=tuple(doc["drift"]) if doc.get("drift") else None,
-        unbounded_response=doc.get("unbounded_response", False),
     )
 
 
@@ -892,7 +890,7 @@ class TestModelDocuments:
                   mean=MeanSpec(kind="affine", coeffs=np.array([0.0, 0.7])),
                   noise=NoiseSpec(kind="discrete", values=np.array([0.2, -0.2]),
                                   probs=np.array([0.5, 0.5]))),
-        DataModel(kind="markov_chain", B=1.0, unbounded_response=True,
+        DataModel(kind="markov_chain", B=1.0,
                   covariates=CovariateSpec(kind="markov", support=np.array([[0.0], [1.0]]),
                                            transition=np.array([[0.8, 0.2], [0.3, 0.7]])),
                   mean=MeanSpec(kind="atom_table", values=np.array([-0.4, 0.9])),
